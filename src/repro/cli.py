@@ -32,11 +32,19 @@ from repro.graphs.generators import random_graph
 from repro.queries.parser import format_query, parse_query
 
 
+def _task_payload(task) -> dict:
+    """``task``'s result in the response shape of its HTTP verb route."""
+    from repro.api.session import default_session
+    from repro.service.wire import result_to_payload
+
+    return result_to_payload(default_session().run(task))
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.json:
-        from repro.service.wire import analyze_payload
+        from repro.api.tasks import AnalyzeTask
 
-        print(json.dumps(analyze_payload(args.query), indent=2))
+        print(json.dumps(_task_payload(AnalyzeTask(args.query)), indent=2))
         return 0
     query = parse_query(args.query)
     print(format_query(query, style="logic"))
@@ -47,9 +55,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_wl_dim(args: argparse.Namespace) -> int:
     if args.json:
-        from repro.service.wire import wl_dim_payload
+        from repro.api.tasks import WlDimensionTask
 
-        print(json.dumps(wl_dim_payload(args.query), indent=2))
+        print(json.dumps(_task_payload(WlDimensionTask(args.query)), indent=2))
         return 0
     query = parse_query(args.query)
     print(wl_dimension(query))
@@ -112,12 +120,13 @@ def _cmd_count(args: argparse.Namespace) -> int:
         hosts = [random_graph(args.n, args.p, seed=args.seed)]
 
     if args.json:
-        from repro.engine import default_engine
-        from repro.service.wire import count_answers_payload
+        from repro.api.tasks import AnswerCountTask
 
         # One host emits exactly the payload shape `POST /count-answers`
         # returns; a batch wraps those payloads with the engine report.
-        results = [count_answers_payload(args.query, host) for host in hosts]
+        results = [
+            _task_payload(AnswerCountTask(args.query, host)) for host in hosts
+        ]
         if len(results) == 1:
             print(json.dumps(results[0], indent=2))
         else:

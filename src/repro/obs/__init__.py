@@ -120,10 +120,8 @@ from repro.obs.trace import (
     leaf_span,
     recent_traces,
     render_span,
-    set_slow_threshold_ms,
     set_trace_sampling,
     set_tracing,
-    slow_threshold_ms,
     slow_traces,
     span,
     span_to_dict,
@@ -183,14 +181,12 @@ __all__ = [
     "render_span",
     "rss_bytes",
     "set_slo_tracking",
-    "set_slow_threshold_ms",
     "set_slowlog_limit",
     "set_slowlog_threshold_ms",
     "set_trace_sampling",
     "set_tracing",
     "slo_report",
     "slow_queries",
-    "slow_threshold_ms",
     "slow_traces",
     "slowlog_limit",
     "slowlog_threshold_ms",

@@ -11,10 +11,12 @@ enough to re-run, re-plan, or cross-reference the request in ``GET
 /traces`` without having caught it live.
 
 Served at ``GET /slow-queries`` and ``repro slowlog``.  The threshold is
-process-wide (``REPRO_SLOWLOG_MS`` env, default 100 ms, runtime-settable
-via :func:`set_slowlog_threshold_ms`); the hot-path cost for fast tasks
-is one call and one float compare — the expensive parts (cost walk,
-explain rendering) only run for tasks that were already slow.
+the process's one notion of "slow" (``REPRO_SLOWLOG_MS`` env, default
+100 ms, runtime-settable via :func:`set_slowlog_threshold_ms`): the
+slow-trace ring of :mod:`repro.obs.trace` reads it too.  The hot-path
+cost for fast tasks is one call and one float compare — the expensive
+parts (cost walk, explain rendering) only run for tasks that were
+already slow.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from collections import deque
 from time import time as _wall_clock
 
 from repro.errors import ObservabilityError
+from repro.obs import trace as _trace
 from repro.obs.cost import cost_breakdown
 from repro.obs.metrics import registry
 
@@ -54,13 +57,15 @@ def _env_threshold() -> float:
 
 
 _threshold_ms = _env_threshold()
+_trace._slow_threshold_s = _threshold_ms / 1000.0
 _entries: deque = deque(maxlen=DEFAULT_SLOWLOG_LIMIT)
 _config_lock = threading.Lock()
 _seq = itertools.count(1)
 
 
 def set_slowlog_threshold_ms(threshold: float) -> float:
-    """Tasks at least this slow are logged; returns the previous value.
+    """Tasks and root spans at least this slow are logged (here and in
+    the slow-trace ring); returns the previous value.
 
     ``float("inf")`` disables capture outright.
     """
@@ -71,6 +76,7 @@ def set_slowlog_threshold_ms(threshold: float) -> float:
     with _config_lock:
         previous = _threshold_ms
         _threshold_ms = threshold
+        _trace._slow_threshold_s = threshold / 1000.0
     return previous
 
 

@@ -13,13 +13,14 @@ context.  The current span propagates through :mod:`contextvars`, so
 
 Every *root* span (no parent at entry) gets a process-unique ``trace_id``
 and, on exit, may land in two bounded ring buffers: the recent *slow*
-traces (duration over :func:`set_slow_threshold_ms`) capture every slow
-root, while the recent ring keeps one in :func:`set_trace_sampling`
-sub-threshold roots (default 1-in-8).  Sampling is what keeps retention
-off the fast path — filling a ring on every call means evicting (and
-touching) a stone-cold span allocated hundreds of calls ago, which costs
-more than the tracing itself.  ``GET /traces`` and ``repro trace`` read
-these buffers.
+traces capture every root over the one slow threshold
+(:func:`repro.obs.slowlog.set_slowlog_threshold_ms`, ``REPRO_SLOWLOG_MS``,
+shared with the slow-query log), while the recent ring keeps one in
+:func:`set_trace_sampling` sub-threshold roots (default 1-in-8).
+Sampling is what keeps retention off the fast path — filling a ring on
+every call means evicting (and touching) a stone-cold span allocated
+hundreds of calls ago, which costs more than the tracing itself.
+``GET /traces`` and ``repro trace`` read these buffers.
 
 Tracing is a process switch (:func:`set_tracing`, honouring the
 ``REPRO_TRACE`` environment variable, default **on**).  Disabled spans
@@ -48,8 +49,6 @@ __all__ = [
     "current_trace_id",
     "set_tracing",
     "tracing_enabled",
-    "set_slow_threshold_ms",
-    "slow_threshold_ms",
     "set_trace_sampling",
     "trace_sampling",
     "recent_traces",
@@ -70,8 +69,9 @@ _enabled = os.environ.get("REPRO_TRACE", "1").strip().lower() not in (
 
 RECENT_LIMIT = 256
 SLOW_LIMIT = 64
-_slow_threshold_ms = 100.0
-_slow_threshold_s = _slow_threshold_ms / 1000.0  # hot-path comparison unit
+# Hot-path comparison unit (seconds); repro.obs.slowlog owns the knob and
+# writes it here, so the check in Span.__exit__ stays one float compare.
+_slow_threshold_s = 0.1
 _recent_sample = 8  # keep 1-in-K sub-threshold roots in the recent ring
 _sample_tick = itertools.count(1)
 
@@ -103,20 +103,6 @@ def set_tracing(enabled: bool) -> bool:
 
 def tracing_enabled() -> bool:
     return _enabled
-
-
-def set_slow_threshold_ms(threshold: float) -> float:
-    """Root spans at least this slow land in the slow-trace ring."""
-    global _slow_threshold_ms, _slow_threshold_s
-    with _config_lock:
-        previous = _slow_threshold_ms
-        _slow_threshold_ms = float(threshold)
-        _slow_threshold_s = _slow_threshold_ms / 1000.0
-    return previous
-
-
-def slow_threshold_ms() -> float:
-    return _slow_threshold_ms
 
 
 def set_trace_sampling(every: int) -> int:

@@ -5,13 +5,16 @@ Layers (top to bottom):
 * :class:`ServiceServer` / :class:`BackgroundServer` — a minimal
   HTTP/1.1 loop on ``asyncio.start_server`` (stdlib only: parse request
   line + headers, read ``Content-Length`` body, answer JSON, close);
-* :class:`CountingService` — the operations.  Request bodies decode into
-  the canonical :mod:`repro.api.tasks` specs (the per-verb bodies *are*
-  the spec payloads minus the ``task`` discriminator) and execute on a
+* :class:`CountingService` — the operations.  Every counting route is
+  ``POST /task``: the verbs (``/count``, ``/count-answers``, ``/wl-dim``,
+  ``/analyze``) are aliases that fill in the task kind and differ only in
+  response shape.  One handler decodes the body into its canonical
+  :mod:`repro.api.tasks` spec, runs it on a
   :class:`~repro.api.executors.LocalExecutor` bound to the service's
-  engine and registry; every counting operation goes through the
-  :class:`~repro.service.scheduler.RequestScheduler` under a canonical
-  request key, so identical concurrent requests coalesce;
+  engine and registry, and goes through the
+  :class:`~repro.service.scheduler.RequestScheduler` under one key: the
+  body plus the content (version) of every dataset it names.  Identical
+  concurrent requests coalesce, whichever of the routes they came by;
 * one :class:`~repro.engine.HomEngine` shared by all workers (its caches
   are lock-guarded), optionally backed by a
   :class:`~repro.service.store.PersistentStore` so plans and counts
@@ -35,6 +38,8 @@ Routes
                            ``{"kg_query": kgqueryspec, "target": name|kgspec}``
 ``POST /wl-dim``           ``{"query": text}``
 ``POST /analyze``          ``{"query": text}``
+                           (the four verbs answer in their per-verb shape,
+                           :func:`~repro.service.wire.result_to_payload`)
 ``POST /register-dataset`` ``{"name": str, "graph": graphspec, "shards": int}``
                            or ``{"name": str, "kg": kgspec}``
 ``GET  /stats``, ``GET /datasets``, ``GET /health``
@@ -72,6 +77,7 @@ import json
 import logging
 import sys
 import threading
+from functools import partial
 from urllib.parse import parse_qsl
 
 from repro.api.executors import LocalExecutor
@@ -112,7 +118,7 @@ from repro.obs.health import (
 from repro.obs.slo import tracker as slo_tracker
 from repro.service.registry import DatasetRegistry, RegistryError
 from repro.service.scheduler import RequestScheduler
-from repro.service.store import PersistentStore, stable_key_digest
+from repro.service.store import PersistentStore
 from repro.service.wire import (
     WireError,
     alerts_payload,
@@ -121,8 +127,6 @@ from repro.service.wire import (
     health_payload,
     kg_from_spec,
     kg_query_from_spec,
-    kg_query_to_spec,
-    kg_to_spec,
     kg_update_from_spec,
     readiness_payload,
     result_to_payload,
@@ -156,6 +160,29 @@ def _require(body: dict, field: str):
     return body[field]
 
 
+def _limit(body: dict) -> int:
+    """The positive-integer ``limit`` option (query strings send text)."""
+    limit = body.get("limit", 20)
+    if isinstance(limit, str):
+        try:
+            limit = int(limit)
+        except ValueError:
+            raise WireError(f"'limit' must be an integer, got {limit!r}")
+    if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
+        raise WireError(f"'limit' must be a positive integer, got {limit!r}")
+    return limit
+
+
+# The verb routes are aliases of POST /task: each fills in its task kind
+# (``/count-answers`` takes a KG query when the body carries ``kg_query``).
+_VERB_KINDS = {
+    "/count": "hom-count",
+    "/count-answers": "answer-count",
+    "/wl-dim": "wl-dimension",
+    "/analyze": "analyze",
+}
+
+
 class CountingService:
     """The request handlers behind the HTTP routes (transport-agnostic)."""
 
@@ -176,9 +203,8 @@ class CountingService:
             self.store = engine.store
         self.engine = engine
         self.registry = DatasetRegistry()
-        # All counting routes execute their task specs on this session;
-        # the executor shares the service engine and registry, so the
-        # generic /task route and the per-verb routes serve identical state.
+        # All counting routes execute their task specs on this session,
+        # over the service engine and registry.
         self.session = Session(
             executor=LocalExecutor(engine=engine, registry=self.registry),
         )
@@ -228,10 +254,10 @@ class CountingService:
         metrics_registry().register_collector(self._collect_health)
         self._routes = {
             ("POST", "/task"): self._op_task,
-            ("POST", "/count"): self._op_count,
-            ("POST", "/count-answers"): self._op_count_answers,
-            ("POST", "/wl-dim"): self._op_wl_dim,
-            ("POST", "/analyze"): self._op_analyze,
+            **{
+                ("POST", path): partial(self._op_task, kind=kind)
+                for path, kind in _VERB_KINDS.items()
+            },
             ("POST", "/register-dataset"): self._op_register,
             ("POST", "/target-update"): self._op_target_update,
             ("POST", "/subscribe"): self._op_subscribe,
@@ -364,170 +390,58 @@ class CountingService:
         return status, payload, sp.trace_id
 
     # ------------------------------------------------------------------
-    # task resolution
+    # counting: POST /task and its verb aliases
     # ------------------------------------------------------------------
-    def _decode_task(self, kind: str, body: dict):
-        """Decode a per-verb request body into its canonical task spec.
+    def _dataset_token(self, task):
+        """The content token of a task's dataset target; ``None`` for an
+        inline target, whose content the request body already carries.
 
-        The bodies *are* the canonical payloads of :func:`task_to_wire`
-        (clients send the ``task`` discriminator; legacy callers omit it
-        and the route supplies it here)."""
-        if "target" not in body and kind in (
-            "hom-count", "answer-count", "kg-answer-count",
-        ):
-            raise WireError("request is missing the 'target' field")
-        return task_from_wire({**body, "task": kind})
-
-    def _target_token(self, task):
-        """The coalescing token of a task's target at admission time.
-
-        Derived from dataset *content* (one immutable serving-state
-        snapshot), not the name, so two names over different content
-        never share in-flight work.  The executor reads its own single
-        snapshot when the job actually runs — graph and cache key always
-        come from one version — so a coalesced waiter may receive a count
-        for a version *newer* than its admission token (committed while
-        the request was in flight), never a mix of versions.  Resolving
-        here also 404s unknown names before any work is scheduled."""
+        Content, not the name: it changes with every dataset version, so
+        a read admitted after a ``target-update`` never joins a job that
+        started before it.  The executor reads its own single snapshot
+        when the job runs — graph and cache key always come from one
+        version — so a coalesced waiter may receive a count for a version
+        *newer* than its admission token (committed while the request was
+        in flight), never a mix of versions.  Resolving here also 404s
+        unknown names before any work is scheduled."""
         target = getattr(task, "target", None)
-        if target is None:
+        if not isinstance(target, str):
             return None
-        if isinstance(target, str):
-            kind = "kg" if task.kind == "kg-answer-count" else "graph"
-            serving = self.registry.get(target, kind=kind).serving
-            return ("dataset", serving.content_token)
-        if hasattr(target, "triples"):
-            return ("inline", stable_key_digest(kg_to_spec(target)))
-        return ("inline", target.edge_fingerprint())
+        kind = "kg" if task.kind == "kg-answer-count" else "graph"
+        return self.registry.get(target, kind=kind).serving.content_token
 
-    # ------------------------------------------------------------------
-    # operations
-    # ------------------------------------------------------------------
-    async def _op_task(self, body: dict) -> dict:
-        """The generic route: any canonical task payload, full result out."""
+    async def _op_task(self, body: dict, kind: str | None = None) -> dict:
+        """Every counting route: ``POST /task`` takes the task kind from
+        the body and answers the full result payload; a verb alias passes
+        its ``kind`` and answers in its per-verb shape.
 
-        # Decoding (graph specs, defensive copies, eager query parsing),
-        # token resolution, and the spec digest all do CPU work on inline
-        # targets — the whole admission step runs off the event loop.
-        # Member tokens also validate dataset names up front and keep
-        # batch keys content-accurate for coalescing.
-        def admission() -> tuple:
-            task = task_from_wire(body)
-            if isinstance(task, TaskBatch):
-                token: object = tuple(
-                    self._target_token(member) for member in task
-                )
-            else:
-                token = self._target_token(task)
-            return task, task.cache_key(), token
-
-        task, digest, token = await asyncio.get_running_loop().run_in_executor(
-            None, admission,
+        Admission runs on the event loop.  The scheduler key is the body
+        plus its dataset tokens: identical bodies decode to equal tasks,
+        so coalesced callers share query text and target name, and a
+        verb and a ``/task`` request with one body share one job.
+        """
+        if kind is not None:
+            if kind == "answer-count" and "kg_query" in body:
+                kind = "kg-answer-count"
+            body = {**body, "task": kind}
+        task = task_from_wire(body)
+        members = task if isinstance(task, TaskBatch) else (task,)
+        key = (
+            json.dumps(body, sort_keys=True),
+            tuple(self._dataset_token(member) for member in members),
         )
         if isinstance(task, TaskBatch):
             results = await self.scheduler.submit(
-                ("task-batch", digest, token),
-                lambda: self.session.run_batch(task),
+                key, lambda: self.session.run_batch(task),
             )
             return {
                 "kind": "result-batch",
                 "results": [result_to_wire(result) for result in results],
             }
         result = await self.scheduler.submit(
-            ("task", digest, token), lambda: self.session.run(task),
-        )
-        return result_to_wire(result)
-
-    async def _op_count(self, body: dict) -> dict:
-        task = self._decode_task("hom-count", body)
-        token = self._target_token(task)
-        key = ("count", task.pattern.edge_fingerprint(), token)
-        # The executor resolves one serving-state snapshot per run (shard
-        # fan-out included) and plan describe() stays on the worker.
-        result = await self.scheduler.submit(
             key, lambda: self.session.run(task),
         )
-        payload = result_to_payload(result)
-        # Coalesced waiters share the first submitter's result; re-echo
-        # *this* caller's target name (tokens are content-derived, so two
-        # names over identical content may share one computation).
-        if isinstance(task.target, str) and payload["target"] != task.target:
-            payload = {**payload, "target": task.target}
-        return payload
-
-    async def _op_count_answers(self, body: dict) -> dict:
-        if "kg_query" in body:
-            return await self._op_count_kg_answers(body)
-        from repro.queries.parser import format_query
-
-        task = self._decode_task("answer-count", body)
-        token = self._target_token(task)
-        key = (
-            "count-answers",
-            format_query(task.parsed(), style="logic"),
-            task.method,
-            token,
-        )
-        payload = await self.scheduler.submit(
-            key, lambda: result_to_payload(self.session.run(task)),
-        )
-        # Re-echo *this* caller's raw query text and target name (the
-        # coalescing key uses the canonical logic form).
-        target_name = task.target if isinstance(task.target, str) else None
-        if payload.get("query") != task.query or (
-            target_name is not None and payload.get("target") != target_name
-        ):
-            payload = {**payload, "query": task.query}
-            if target_name is not None:
-                payload["target"] = target_name
-        return payload
-
-    async def _op_count_kg_answers(self, body: dict) -> dict:
-        task = self._decode_task("kg-answer-count", body)
-        if isinstance(task.target, str):
-            token = self._target_token(task)
-        else:
-            # The inline content digest is CPU-bound; keep it off the
-            # event loop so concurrent requests stay responsive.  (The
-            # gadget encoding itself happens on the worker, memoised per
-            # spec by the executor.)
-            token = (
-                "inline",
-                await asyncio.get_running_loop().run_in_executor(
-                    None, lambda: stable_key_digest(kg_to_spec(task.target)),
-                ),
-            )
-        key = (
-            "kg-count-answers",
-            stable_key_digest(kg_query_to_spec(task.query)),
-            token,
-        )
-        payload = await self.scheduler.submit(
-            key, lambda: result_to_payload(self.session.run(task)),
-        )
-        if isinstance(task.target, str) and payload["target"] != task.target:
-            payload = {**payload, "target": task.target}
-        return payload
-
-    async def _op_wl_dim(self, body: dict) -> dict:
-        task = self._decode_task("wl-dimension", body)
-        payload = await self.scheduler.submit(
-            ("wl-dim", task.query.strip()),
-            lambda: result_to_payload(self.session.run(task)),
-        )
-        if payload.get("query") != task.query:  # coalesced onto another's
-            payload = {**payload, "query": task.query}
-        return payload
-
-    async def _op_analyze(self, body: dict) -> dict:
-        task = self._decode_task("analyze", body)
-        payload = await self.scheduler.submit(
-            ("analyze", task.query.strip()),
-            lambda: result_to_payload(self.session.run(task)),
-        )
-        if payload.get("query") != task.query:
-            payload = {**payload, "query": task.query}
-        return payload
+        return result_to_wire(result) if kind is None else result_to_payload(result)
 
     async def _op_register(self, body: dict) -> dict:
         name = _require(body, "name")
@@ -762,14 +676,7 @@ class CountingService:
 
     async def _op_traces(self, body: dict) -> dict:
         """Recent and recent-slow completed span trees."""
-        limit = body.get("limit", 20)
-        if isinstance(limit, str):
-            try:
-                limit = int(limit)
-            except ValueError:
-                raise WireError(f"'limit' must be an integer, got {limit!r}")
-        if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
-            raise WireError(f"'limit' must be a positive integer, got {limit!r}")
+        limit = _limit(body)
         return {
             "kind": "traces",
             "recent": [span_to_dict(trace) for trace in recent_traces(limit)],
@@ -818,14 +725,7 @@ class CountingService:
 
     async def _op_slow_queries(self, body: dict) -> dict:
         """The slow-query log, newest last."""
-        limit = body.get("limit", 20)
-        if isinstance(limit, str):
-            try:
-                limit = int(limit)
-            except ValueError:
-                raise WireError(f"'limit' must be an integer, got {limit!r}")
-        if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
-            raise WireError(f"'limit' must be a positive integer, got {limit!r}")
+        limit = _limit(body)
         threshold = body.get("threshold_ms")
         if threshold is not None:
             try:

@@ -11,8 +11,8 @@ Task payloads
     ``{"task": kind, ...}`` — :func:`task_to_wire` /
     :func:`task_from_wire` round-trip byte-identically (canonical JSON),
     and the per-verb request bodies (``POST /count`` etc.) are exactly
-    these payloads, so clients and the generic ``POST /task`` route share
-    one encoding.
+    these payloads: the verbs are aliases of ``POST /task`` that fill in
+    the ``task`` kind.
 
 Graph specs
     ``{"graph6": "..."}`` — compact, vertices become ``0..n-1``; or
@@ -431,55 +431,6 @@ def error_payload(error: Exception, code: str | None = None) -> dict:
 # ----------------------------------------------------------------------
 # response payloads (shared by the server and the CLI's --json mode)
 # ----------------------------------------------------------------------
-def analyze_payload(query_text: str) -> dict:
-    from repro.api.session import default_session
-    from repro.api.tasks import AnalyzeTask
-
-    return result_to_payload(default_session().run(AnalyzeTask(query_text)))
-
-
-def wl_dim_payload(query_text: str) -> dict:
-    from repro.api.session import default_session
-    from repro.api.tasks import WlDimensionTask
-
-    return result_to_payload(default_session().run(WlDimensionTask(query_text)))
-
-
-def count_answers_payload(
-    query_text: str,
-    host: Graph,
-    target_name: str | None = None,
-) -> dict:
-    """Count the answers to a parsed CQ on ``host`` via the engine-backed
-    route (Lemma-22 interpolation; Boolean queries fall back to the direct
-    check, whose answer is 0 or 1)."""
-    from repro.api.session import default_session
-    from repro.api.tasks import AnswerCountTask
-
-    result = default_session().run(AnswerCountTask(query_text, host))
-    payload = result_to_payload(result)
-    if target_name is not None:
-        payload["target"] = target_name
-    return payload
-
-
-def count_payload(
-    count: int,
-    pattern: Graph,
-    target_name,
-    plan: str | None = None,
-    shards: int = 1,
-) -> dict:
-    return {
-        "kind": "count",
-        "pattern": graph_summary(pattern),
-        "target": target_name,
-        "count": count,
-        "plan": plan,
-        "shards": shards,
-    }
-
-
 def dynamic_stats_payload(stats) -> dict:
     """The version/delta statistics block (``DynamicStats.snapshot()``
     shape) shared by ``POST /target-update``, ``GET /stats``,

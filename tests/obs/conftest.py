@@ -13,11 +13,9 @@ import pytest
 from repro.obs import (
     clear_slow_queries,
     clear_traces,
-    set_slow_threshold_ms,
     set_slowlog_threshold_ms,
     set_trace_sampling,
     set_tracing,
-    slowlog_threshold_ms,
 )
 
 
@@ -25,15 +23,12 @@ from repro.obs import (
 def _trace_state():
     previous_enabled = set_tracing(True)
     previous_sampling = set_trace_sampling(1)
-    previous_slow = set_slow_threshold_ms(100.0)
-    previous_slowlog = slowlog_threshold_ms()
-    set_slowlog_threshold_ms(100.0)
+    previous_slow = set_slowlog_threshold_ms(100.0)
     clear_traces()
     clear_slow_queries()
     yield
     set_tracing(previous_enabled)
     set_trace_sampling(previous_sampling)
-    set_slow_threshold_ms(previous_slow)
-    set_slowlog_threshold_ms(previous_slowlog)
+    set_slowlog_threshold_ms(previous_slow)
     clear_traces()
     clear_slow_queries()

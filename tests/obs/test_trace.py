@@ -17,13 +17,13 @@ from repro.obs import (
     leaf_span,
     recent_traces,
     render_span,
-    set_slow_threshold_ms,
+    set_slowlog_threshold_ms,
     set_trace_sampling,
     set_tracing,
     slow_traces,
     span,
     span_to_dict,
-    slow_threshold_ms,
+    slowlog_threshold_ms,
     trace_sampling,
     tracing_enabled,
 )
@@ -161,15 +161,15 @@ class TestRingBuffers:
         assert names == ["root"]
 
     def test_slow_traces_capture_over_threshold(self):
-        previous = set_slow_threshold_ms(0.0)
+        previous = set_slowlog_threshold_ms(0.0)
         try:
             with span("slowpoke"):
                 pass
         finally:
-            set_slow_threshold_ms(previous)
+            set_slowlog_threshold_ms(previous)
         assert [sp.name for sp in slow_traces()] == ["slowpoke"]
         assert [sp.name for sp in recent_traces()] == ["slowpoke"]
-        assert slow_threshold_ms() == previous
+        assert slowlog_threshold_ms() == previous
 
     def test_fast_roots_stay_out_of_slow_ring(self):
         with span("quick"):
@@ -205,7 +205,7 @@ class TestRingEdgeCases:
         # A stride so large that effectively no fast root is retained;
         # slow roots must still land in BOTH rings unconditionally.
         set_trace_sampling(997)
-        set_slow_threshold_ms(1.0)
+        set_slowlog_threshold_ms(1.0)
         clear_traces()
         for _ in range(5):
             with span("fast"):
@@ -232,7 +232,7 @@ class TestRingEdgeCases:
     def test_slow_ring_overflow_keeps_newest_in_order(self):
         from repro.obs.trace import SLOW_LIMIT
 
-        set_slow_threshold_ms(0.0)
+        set_slowlog_threshold_ms(0.0)
         for i in range(SLOW_LIMIT + 8):
             with span("s", i=i):
                 pass

@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.api import HomCountTask, TaskBatch, WlDimensionTask
 from repro.engine import set_default_engine
 from repro.graphs import cycle_graph, grid_graph, path_graph, random_graph
 from repro.graphs.operations import disjoint_union_many
@@ -14,6 +15,7 @@ from repro.kg import KnowledgeGraph, count_kg_answers_brute, kg_query_from_tripl
 from repro.queries.answers import count_answers
 from repro.queries.parser import parse_query
 from repro.service import BackgroundServer, ServiceClient, ServiceError
+from repro.service.wire import kg_query_to_spec, task_to_wire
 
 
 @pytest.fixture(autouse=True)
@@ -131,11 +133,43 @@ class TestEndToEnd:
         assert engine["counts_executed"] <= scheduler["executed"]
 
 
+TEXT = "q(x1, x2) :- E(x1, y), E(x2, y)"
+KG_QUERY = kg_query_from_triples([("x", "likes", "z")], ["x"])
+
+# Bodies naming the unregistered dataset "nope", one per counting route
+# that takes a target (/wl-dim and /analyze take none), plus the KG and
+# batch forms.
+UNKNOWN_DATASET = {
+    "task": ("/task", task_to_wire(HomCountTask(cycle_graph(3), "nope"))),
+    "task-batch": ("/task", task_to_wire(TaskBatch([
+        WlDimensionTask(TEXT), HomCountTask(cycle_graph(3), "nope"),
+    ]))),
+    "count": ("/count", task_to_wire(HomCountTask(cycle_graph(3), "nope"))),
+    "count-answers": ("/count-answers", {"query": TEXT, "target": "nope"}),
+    "count-answers-kg": ("/count-answers", {
+        "kg_query": kg_query_to_spec(KG_QUERY), "target": "nope",
+    }),
+}
+
+# Bodies missing a required field, one per counting route.
+MISSING_FIELD = {
+    "task": ("/task", {"task": "hom-count", "pattern": {"graph6": "D?{"}}),
+    "count": ("/count", {"pattern": {"graph6": "D?{"}}),
+    "count-answers": ("/count-answers", {"query": TEXT}),
+    "wl-dim": ("/wl-dim", {}),
+    "analyze": ("/analyze", {}),
+}
+
+
 class TestErrors:
-    def test_unknown_dataset_is_404(self, client):
+    @pytest.mark.parametrize(
+        "path, body", list(UNKNOWN_DATASET.values()), ids=list(UNKNOWN_DATASET),
+    )
+    def test_unknown_dataset_is_404(self, client, path, body):
         with pytest.raises(ServiceError) as excinfo:
-            client.count(cycle_graph(3), "nope")
+            client.request("POST", path, body)
         assert excinfo.value.status == 404
+        assert excinfo.value.code == "unknown-dataset"
 
     def test_bad_query_is_400(self, client):
         with pytest.raises(ServiceError) as excinfo:
@@ -147,10 +181,14 @@ class TestErrors:
             client.request("POST", "/frobnicate", {})
         assert excinfo.value.status == 404
 
-    def test_missing_fields_are_400(self, client):
+    @pytest.mark.parametrize(
+        "path, body", list(MISSING_FIELD.values()), ids=list(MISSING_FIELD),
+    )
+    def test_missing_fields_are_400(self, client, path, body):
         with pytest.raises(ServiceError) as excinfo:
-            client.request("POST", "/count", {"pattern": {"graph6": "D?{"}})
+            client.request("POST", path, body)
         assert excinfo.value.status == 400
+        assert excinfo.value.code == "bad-request"
 
 
 class TestWarmRestart:

@@ -7,9 +7,10 @@ spectrum:
 
 * :class:`MatrixPlan` — closed-form linear algebra for paths and cycles
   (``|Hom(P_k, G)| = 1ᵀA^{k-1}1``, ``|Hom(C_k, G)| = trace(A^k)``);
-* :class:`DPPlan` — the treewidth DP with the nice tree decomposition
-  *and* all per-node bag bookkeeping (vertex positions, neighbour
-  positions) precompiled into a flat instruction tape;
+* :class:`DPPlan` — the treewidth DP of :mod:`repro.homs.treewidth_dp`,
+  with the nice tree decomposition *and* all per-node bag bookkeeping
+  (vertex positions, neighbour positions) compiled once into the flat
+  instruction tape that ``count_homomorphisms_dp`` also runs;
 * :class:`BrutePlan` — backtracking, still the right answer for tiny or
   dense patterns where decomposition buys nothing.
 
@@ -27,9 +28,8 @@ from typing import Literal, Mapping, Sequence
 from repro.graphs.graph import Graph, Vertex
 from repro.graphs.matrices import count_closed_walks, count_walks
 from repro.homs.brute_force import count_homomorphisms_brute
+from repro.homs.treewidth_dp import compile_tape, prepared_pattern, run_tape
 from repro.treewidth.heuristics import heuristic_treewidth_upper_bound
-from repro.treewidth.exact import optimal_tree_decomposition
-from repro.treewidth.nice import NiceNode, nice_tree_decomposition
 
 PlanKind = Literal["constant", "brute", "matrix", "dp"]
 
@@ -127,27 +127,12 @@ class MatrixPlan(CountPlan):
         return f"{self.describe()}/{tier}"
 
 
-# One instruction per nice-tree node, in postorder.  All pattern-side index
-# arithmetic (`bag_order`, `.index(...)` calls) is resolved at compile time;
-# execution only touches target vertex *indices*: the target is encoded
-# once per graph value (``Graph.to_indexed`` caches), DP keys are int
-# tuples, and candidate images come from neighbourhood-bitset
-# intersections.  Bags are ordered by pattern codec index — a total order,
-# unlike the seed's ``repr``-sort, which could collide.
-_LEAF = 0
-_INTRODUCE = 1
-_FORGET = 2
-_JOIN = 3
-
-
 @dataclass
 class DPPlan(CountPlan):
-    """Treewidth DP with a precompiled instruction tape.
-
-    Instructions operate on a stack of DP tables (postorder ≡ reverse
-    Polish), so execution is a single loop with no tree traversal, no
-    ``sorted`` calls, and no ``list.index`` lookups per target.
-    """
+    """Treewidth DP with a precompiled instruction tape
+    (:func:`repro.homs.treewidth_dp.compile_tape`): execution is one loop
+    over the tape, with no tree traversal and no pattern-side bag
+    bookkeeping per target."""
 
     pattern: Graph
     width: int
@@ -156,99 +141,9 @@ class DPPlan(CountPlan):
     kind: PlanKind = "dp"
 
     def execute(self, target, allowed=None, backend: str = "auto"):
-        """Count against ``target``.
-
-        ``backend`` picks the evaluation tier: ``'auto'`` applies the
-        kernel cost model (numpy for large-enough targets when
-        importable), ``'python'`` pins the pure tape (the oracle),
-        ``'numpy'`` pins the vectorised tape.  A numpy run that could
-        leave int64 falls back to the pure tape — results are exact on
-        every tier.
-        """
-        if target.num_vertices() == 0:
-            return 0
-        indexed_target = target.to_indexed()
-
-        from repro import kernel
-
-        tier = kernel.resolve("dp", indexed_target.n, backend)
-        if tier == "numpy" and kernel.dp_packable(indexed_target.n, self.width + 1):
-            from repro.kernel import dp_numpy
-
-            if allowed is None:
-                masks = None
-            else:
-                encode_mask = indexed_target.codec.encode_mask
-                masks = {
-                    vertex: encode_mask(pool)
-                    for vertex, pool in allowed.items()
-                }
-            try:
-                return dp_numpy.execute_tape(
-                    self.instructions, indexed_target, self.width + 1,
-                    allowed_masks=masks,
-                )
-            except kernel.KernelUnsupported as exc:
-                kernel.note_fallback("dp", exc.reason)
-        elif tier == "numpy":
-            kernel.note_fallback("dp", "overflow")
-        return self._execute_python(indexed_target, allowed)
-
-    def _execute_python(self, indexed_target, allowed):
-        """The pure-Python instruction tape — the differential oracle."""
-        target_bits = indexed_target.bitsets()
-        full_pool = (1 << indexed_target.n) - 1
-        stack: list[dict[tuple, int]] = []
-
-        for instruction in self.instructions:
-            op = instruction[0]
-            if op == _LEAF:
-                stack.append({(): 1})
-            elif op == _INTRODUCE:
-                _, vertex, position, neighbour_positions = instruction
-                child = stack.pop()
-                if allowed is not None and vertex in allowed:
-                    base_pool = indexed_target.codec.encode_mask(
-                        allowed[vertex],
-                    )
-                else:
-                    base_pool = full_pool
-                table: dict[tuple, int] = {}
-                for key, count in child.items():
-                    pool = base_pool
-                    for pos in neighbour_positions:
-                        pool &= target_bits[key[pos]]
-                    while pool:
-                        low_bit = pool & -pool
-                        pool ^= low_bit
-                        image = low_bit.bit_length() - 1
-                        new_key = (
-                            key[:position] + (image,) + key[position:]
-                        )
-                        table[new_key] = table.get(new_key, 0) + count
-                stack.append(table)
-            elif op == _FORGET:
-                _, drop = instruction
-                child = stack.pop()
-                table = {}
-                for key, count in child.items():
-                    new_key = key[:drop] + key[drop + 1:]
-                    table[new_key] = table.get(new_key, 0) + count
-                stack.append(table)
-            else:  # _JOIN
-                left = stack.pop()
-                right = stack.pop()
-                if len(left) > len(right):
-                    left, right = right, left
-                table = {}
-                for key, count in left.items():
-                    other = right.get(key)
-                    if other:
-                        table[key] = count * other
-                stack.append(table)
-
-        (root_table,) = stack
-        return root_table.get((), 0)
+        """Count against ``target`` on the tier ``backend`` picks
+        (:func:`repro.homs.treewidth_dp.run_tape`); exact on every tier."""
+        return run_tape(self.instructions, self.width, target, allowed, backend)
 
     def describe(self) -> str:
         return (
@@ -267,51 +162,15 @@ class DPPlan(CountPlan):
         return f"{self.describe()}/{tier}"
 
 
-def _compile_instructions(pattern: Graph, root: NiceNode) -> list[tuple]:
-    indexed_pattern = pattern.to_indexed()
-    encode = indexed_pattern.codec.encode
-    pattern_adjacency = indexed_pattern.adjacency_lists()
-
-    def bag_order(bag: frozenset) -> list[int]:
-        return sorted(encode(v) for v in bag)
-
-    instructions: list[tuple] = []
-    for node in root.iter_postorder():
-        if node.kind == "leaf":
-            instructions.append((_LEAF,))
-        elif node.kind == "introduce":
-            child_order = bag_order(node.children[0].bag)
-            vertex_index = encode(node.vertex)
-            position = bag_order(node.bag).index(vertex_index)
-            child_bag_indices = set(child_order)
-            neighbour_positions = tuple(
-                child_order.index(u)
-                for u in pattern_adjacency[vertex_index]
-                if u in child_bag_indices
-            )
-            # The label rides along for ``allowed`` lookups at execute
-            # time; all positional arithmetic is already index-space.
-            instructions.append(
-                (_INTRODUCE, node.vertex, position, neighbour_positions),
-            )
-        elif node.kind == "forget":
-            drop = bag_order(node.children[0].bag).index(encode(node.vertex))
-            instructions.append((_FORGET, drop))
-        elif node.kind == "join":
-            instructions.append((_JOIN,))
-        else:  # pragma: no cover - validate_nice rejects unknown kinds
-            raise AssertionError(f"unknown node kind {node.kind!r}")
-    return instructions
-
-
 def compile_dp_plan(pattern: Graph) -> DPPlan:
     """Compile the treewidth-DP plan (optimal decomposition, flat tape)."""
-    root = nice_tree_decomposition(optimal_tree_decomposition(pattern))
+    root = prepared_pattern(pattern)
+    instructions = compile_tape(pattern, root)
     return DPPlan(
         pattern=pattern,
         width=root.width(),
-        node_count=root.count_nodes(),
-        instructions=_compile_instructions(pattern, root),
+        node_count=len(instructions),
+        instructions=instructions,
     )
 
 

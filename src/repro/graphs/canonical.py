@@ -43,12 +43,10 @@ def _refine(
 
 def _encode(graph: Graph, ordering: list[Vertex]) -> tuple:
     """Upper-triangular adjacency bits under the given vertex ordering."""
-    index = {v: i for i, v in enumerate(ordering)}
     bits = []
     for i, u in enumerate(ordering):
         for v in ordering[i + 1:]:
             bits.append(1 if graph.has_edge(u, v) else 0)
-    del index
     return tuple(bits)
 
 

@@ -14,37 +14,9 @@ from __future__ import annotations
 from typing import Callable, Hashable, Iterator, Mapping
 
 from repro.graphs.graph import Graph, Vertex
+from repro.graphs.indexed import IndexedGraph
 
 Colouring = Mapping[Vertex, Hashable]
-
-
-def _refine_colours(graph: Graph, colours: dict[Vertex, Hashable]) -> dict[Vertex, int]:
-    """Run colour refinement to a stable partition; return integer colours.
-
-    The integer colour ids are *canonical across graphs*: two vertices in
-    different graphs receive the same id iff their refinement histories
-    match, so the result can be used to pair up candidate images.
-    """
-    current = dict(colours)
-    palette: dict[Hashable, int] = {}
-
-    def intern(signature: Hashable) -> int:
-        if signature not in palette:
-            palette[signature] = len(palette)
-        return palette[signature]
-
-    current = {v: intern(("init", c)) for v, c in current.items()}
-    for _ in range(graph.num_vertices() + 1):
-        updated = {
-            v: intern(
-                (current[v], tuple(sorted(current[u] for u in graph.neighbours(v)))),
-            )
-            for v in graph.vertices()
-        }
-        if len(set(updated.values())) == len(set(current.values())):
-            return updated
-        current = updated
-    return current
 
 
 def _joint_refinement(
@@ -53,29 +25,29 @@ def _joint_refinement(
     first_colours: Colouring,
     second_colours: Colouring,
 ) -> tuple[dict[Vertex, int], dict[Vertex, int]] | None:
-    """Refine both graphs with a shared palette; ``None`` if histograms differ."""
-    union = Graph()
-    for v in first.vertices():
-        union.add_vertex((0, v))
-    for v in second.vertices():
-        union.add_vertex((1, v))
-    for u, v in first.edges():
-        union.add_edge((0, u), (0, v))
-    for u, v in second.edges():
-        union.add_edge((1, u), (1, v))
-    seeds = {(0, v): first_colours[v] for v in first.vertices()}
-    seeds.update({(1, v): second_colours[v] for v in second.vertices()})
-    refined = _refine_colours(union, seeds)
-    left = {v: refined[(0, v)] for v in first.vertices()}
-    right = {v: refined[(1, v)] for v in second.vertices()}
+    """Stable colours of both graphs from one refinement of their disjoint
+    union, seeded with the given colours; ``None`` if histograms differ.
 
-    def histogram(colouring: dict[Vertex, int]) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for colour in colouring.values():
-            counts[colour] = counts.get(colour, 0) + 1
-        return counts
+    One partition of ``first ⊎ second`` gives the two sides comparable
+    class ids, so they can pair up candidate images in the search.
+    """
+    # Imported lazily: repro.wl depends on this package.
+    from repro.wl.refinement import colour_histogram, indexed_colour_partition
 
-    if histogram(left) != histogram(right):
+    indexed_first = first.to_indexed()
+    indexed_second = second.to_indexed()
+    joint_colours = [first_colours[v] for v in indexed_first.codec.labels]
+    joint_colours += [second_colours[v] for v in indexed_second.codec.labels]
+    # The numpy refinement tier takes integer seeds.
+    seed_ids: dict[Hashable, int] = {}
+    seeds = [seed_ids.setdefault(c, len(seed_ids)) for c in joint_colours]
+    partition = indexed_colour_partition(
+        IndexedGraph.disjoint_union(indexed_first, indexed_second), seeds,
+    )
+    boundary = indexed_first.n
+    left = dict(zip(indexed_first.codec.labels, partition[:boundary]))
+    right = dict(zip(indexed_second.codec.labels, partition[boundary:]))
+    if colour_histogram(left) != colour_histogram(right):
         return None
     return left, right
 

@@ -6,8 +6,10 @@ counter, the treewidth DP, and — for ``method='auto'`` — the
 (matrix closed form, DP instruction tape, or brute force, chosen by a
 treewidth-aware cost model) and caches both plans and finished counts.
 
-The explicit ``'brute'``/``'dp'`` methods bypass the engine entirely; they
-are the uncached reference backends the engine is tested against.
+The explicit methods bypass the engine's caches.  ``'brute'`` is the
+independent oracle every other path is tested against; ``'dp'`` runs the
+same compiled instruction tape as the engine's
+:class:`~repro.engine.plans.DPPlan`, compiled per call instead of cached.
 """
 
 from __future__ import annotations

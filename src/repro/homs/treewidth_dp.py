@@ -10,26 +10,42 @@ Supports the same ``allowed`` restriction as the brute-force counter, so
 colour-prescribed homomorphism counts (Definitions 30/48) inherit the
 treewidth-parameterised running time.
 
-DP tables are keyed by tuples of *target indices* (the
-:class:`~repro.graphs.indexed.IndexedGraph` encoding), bags are ordered by
-*pattern index* — a total order, unlike the seed's ``repr``-sort, which
-could collide when two labels shared a ``repr`` — and edge checks are
-neighbourhood-bitset intersections.  For a pattern compiled once and
-executed many times, use :class:`repro.engine.plans.DPPlan` instead; this
-module is the uncached reference backend.
+This module is the library's one treewidth DP.  A decomposition is lowered
+once to a flat *instruction tape* (:func:`compile_tape`), and
+:func:`run_tape` evaluates the tape against a target on one of two tiers:
+
+* the pure-Python loop below — DP tables keyed by tuples of *target
+  indices* (the :class:`~repro.graphs.indexed.IndexedGraph` encoding),
+  candidate images from neighbourhood-bitset intersections — the exact
+  oracle;
+* the vectorised :mod:`repro.kernel.dp_numpy` loop over packed-code
+  ndarray tables, picked by the kernel cost model, which falls back to the
+  pure loop whenever int64 could overflow.
+
+:func:`count_homomorphisms_dp` compiles the tape (memoised on the
+decomposition root) and runs it; :class:`repro.engine.plans.DPPlan` keeps a
+compiled tape in the engine's plan cache and runs it through the same
+:func:`run_tape`.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.graphs.graph import Graph, Vertex
 from repro.treewidth.exact import optimal_tree_decomposition
 from repro.treewidth.nice import NiceNode, nice_tree_decomposition
 
-# A DP table maps "bag assignment" keys to counts.  Keys are tuples of
-# target indices, ordered by the pattern indices of the node's bag.
-_Table = dict[tuple, int]
+# One instruction per nice-tree node, in postorder: instructions operate on
+# a stack of DP tables (postorder ≡ reverse Polish), so execution is a
+# single loop with no tree traversal.  All pattern-side index arithmetic
+# (bag orders, positions) is resolved at compile time.  Bags are ordered by
+# pattern codec index — a total order, so labels that share a ``repr``
+# cannot collide.
+LEAF = 0
+INTRODUCE = 1  # (INTRODUCE, vertex label, position, neighbour positions)
+FORGET = 2  # (FORGET, position)
+JOIN = 3
 
 
 def count_homomorphisms_dp(
@@ -45,132 +61,155 @@ def count_homomorphisms_dp(
     (useful when counting against many targets, e.g. the WL
     indistinguishability oracle); otherwise an optimal one is computed.
 
-    ``backend`` picks the table-evaluation tier: ``'python'`` is the
-    in-line dict DP below (the differential oracle), ``'numpy'`` lowers
-    the decomposition to the compiled instruction tape and evaluates it
-    with the vectorised kernel (:mod:`repro.kernel.dp_numpy`), and
-    ``'auto'`` lets the kernel cost model decide per target.  All tiers
-    return the same exact count; int64-unsafe inputs fall back here.
+    ``backend`` picks the evaluation tier as in :func:`run_tape`; every
+    tier returns the same exact count.
     """
     if pattern.num_vertices() == 0:
         return 1
     if target.num_vertices() == 0:
         return 0
     if root is None:
-        decomposition = optimal_tree_decomposition(pattern)
-        root = nice_tree_decomposition(decomposition)
+        root = prepared_pattern(pattern)
+    # Memoise the tape on the decomposition root: repeated calls with a
+    # prepared_pattern() root (the hom-profile access shape) pay the
+    # pattern-side compile once, like DPPlan does.
+    cache = getattr(root, "_tape_cache", None)
+    if cache is None or cache[0] is not pattern:
+        cache = (pattern, compile_tape(pattern, root), root.width())
+        root._tape_cache = cache
+    _, instructions, width = cache
+    return run_tape(instructions, width, target, allowed, backend)
 
-    from repro import kernel
 
-    tier = kernel.resolve("dp", target.num_vertices(), backend)
-    if tier == "numpy":
-        value = _count_via_tape(pattern, target, allowed, root)
-        if value is not None:
-            return value
-
+def compile_tape(pattern: Graph, root: NiceNode) -> list[tuple]:
+    """Lower the nice decomposition ``root`` of ``pattern`` to the
+    instruction tape (one instruction per node, postorder)."""
     indexed_pattern = pattern.to_indexed()
-    indexed_target = target.to_indexed()
     encode = indexed_pattern.codec.encode
     pattern_adjacency = indexed_pattern.adjacency_lists()
-    target_bits = indexed_target.bitsets()
-    full_pool = (1 << indexed_target.n) - 1
 
     def bag_order(bag: frozenset) -> list[int]:
         return sorted(encode(v) for v in bag)
 
-    def pool_for(vertex: Vertex) -> int:
-        if allowed is not None and vertex in allowed:
-            return indexed_target.codec.encode_mask(allowed[vertex])
-        return full_pool
-
-    tables: dict[int, _Table] = {}
-
+    instructions: list[tuple] = []
     for node in root.iter_postorder():
         if node.kind == "leaf":
-            table: _Table = {(): 1}
+            instructions.append((LEAF,))
         elif node.kind == "introduce":
-            child = node.children[0]
-            child_table = tables.pop(id(child))
-            child_order = bag_order(child.bag)
+            child_order = bag_order(node.children[0].bag)
             vertex_index = encode(node.vertex)
             position = bag_order(node.bag).index(vertex_index)
             child_bag_indices = set(child_order)
-            neighbour_positions = [
+            neighbour_positions = tuple(
                 child_order.index(u)
                 for u in pattern_adjacency[vertex_index]
                 if u in child_bag_indices
-            ]
-            base_pool = pool_for(node.vertex)
-            table = {}
-            for key, count in child_table.items():
+            )
+            # The label rides along for ``allowed`` lookups at execute
+            # time; all positional arithmetic is already index-space.
+            instructions.append(
+                (INTRODUCE, node.vertex, position, neighbour_positions),
+            )
+        elif node.kind == "forget":
+            drop = bag_order(node.children[0].bag).index(encode(node.vertex))
+            instructions.append((FORGET, drop))
+        elif node.kind == "join":
+            instructions.append((JOIN,))
+        else:  # pragma: no cover - validate_nice rejects unknown kinds
+            raise AssertionError(f"unknown node kind {node.kind!r}")
+    return instructions
+
+
+def run_tape(
+    instructions: Sequence[tuple],
+    width: int,
+    target: Graph,
+    allowed: Mapping[Vertex, frozenset] | None = None,
+    backend: str = "auto",
+) -> int:
+    """Evaluate a compiled tape of decomposition width ``width`` against
+    ``target``.
+
+    ``backend`` picks the evaluation tier: ``'auto'`` applies the kernel
+    cost model (numpy for large-enough targets when importable),
+    ``'python'`` pins the pure tape (the oracle), ``'numpy'`` pins the
+    vectorised tape.  A numpy run that could leave int64 falls back to the
+    pure tape — results are exact on every tier.
+    """
+    if target.num_vertices() == 0:
+        return 0
+    indexed_target = target.to_indexed()
+    if allowed is None:
+        masks = None
+    else:
+        encode_mask = indexed_target.codec.encode_mask
+        masks = {vertex: encode_mask(pool) for vertex, pool in allowed.items()}
+
+    # Imported lazily so that importing the counting layers (and the
+    # service on top of them) does not load the kernel package.
+    from repro import kernel
+
+    if kernel.resolve("dp", indexed_target.n, backend) == "numpy":
+        from repro.kernel import dp_numpy
+
+        try:
+            return dp_numpy.execute_tape(
+                instructions, indexed_target, width + 1, allowed_masks=masks,
+            )
+        except kernel.KernelUnsupported as exc:
+            kernel.note_fallback("dp", exc.reason)
+    return _run_python(instructions, indexed_target, masks)
+
+
+def _run_python(instructions, indexed_target, masks) -> int:
+    """The pure-Python tape loop — the differential oracle.  ``masks``
+    maps a pattern vertex label to its encoded candidate bitset."""
+    target_bits = indexed_target.bitsets()
+    full_pool = (1 << indexed_target.n) - 1
+    stack: list[dict[tuple, int]] = []
+
+    for instruction in instructions:
+        op = instruction[0]
+        if op == LEAF:
+            stack.append({(): 1})
+        elif op == INTRODUCE:
+            _, vertex, position, neighbour_positions = instruction
+            base_pool = (
+                full_pool if masks is None else masks.get(vertex, full_pool)
+            )
+            table: dict[tuple, int] = {}
+            for key, count in stack.pop().items():
                 pool = base_pool
-                for neighbour_position in neighbour_positions:
-                    pool &= target_bits[key[neighbour_position]]
+                for pos in neighbour_positions:
+                    pool &= target_bits[key[pos]]
                 while pool:
                     low_bit = pool & -pool
                     pool ^= low_bit
                     image = low_bit.bit_length() - 1
                     new_key = key[:position] + (image,) + key[position:]
                     table[new_key] = table.get(new_key, 0) + count
-        elif node.kind == "forget":
-            child = node.children[0]
-            child_table = tables.pop(id(child))
-            drop = bag_order(child.bag).index(encode(node.vertex))
+            stack.append(table)
+        elif op == FORGET:
+            drop = instruction[1]
             table = {}
-            for key, count in child_table.items():
+            for key, count in stack.pop().items():
                 new_key = key[:drop] + key[drop + 1:]
                 table[new_key] = table.get(new_key, 0) + count
-        elif node.kind == "join":
-            left, right = node.children
-            left_table = tables.pop(id(left))
-            right_table = tables.pop(id(right))
-            if len(left_table) > len(right_table):
-                left_table, right_table = right_table, left_table
+            stack.append(table)
+        else:  # JOIN
+            left = stack.pop()
+            right = stack.pop()
+            if len(left) > len(right):
+                left, right = right, left
             table = {}
-            for key, count in left_table.items():
-                other = right_table.get(key)
+            for key, count in left.items():
+                other = right.get(key)
                 if other:
                     table[key] = count * other
-        else:  # pragma: no cover - validate_nice rejects unknown kinds
-            raise AssertionError(f"unknown node kind {node.kind!r}")
-        tables[id(node)] = table
+            stack.append(table)
 
-    root_table = tables[id(root)]
+    (root_table,) = stack
     return root_table.get((), 0)
-
-
-def _count_via_tape(pattern, target, allowed, root: NiceNode) -> int | None:
-    """Lower ``root`` to the compiled instruction tape and run it on the
-    vectorised kernel; ``None`` means "fall back to the dict DP"."""
-    from repro import kernel
-    from repro.engine.plans import _compile_instructions
-    from repro.kernel import dp_numpy
-
-    indexed_target = target.to_indexed()
-    max_bag = root.width() + 1
-    if not dp_numpy.packable(indexed_target.n, max_bag):
-        kernel.note_fallback("dp", "overflow")
-        return None
-    if allowed is None:
-        masks = None
-    else:
-        encode_mask = indexed_target.codec.encode_mask
-        masks = {vertex: encode_mask(pool) for vertex, pool in allowed.items()}
-    # Memoise the lowered tape on the decomposition root: repeated calls
-    # with a prepared_pattern() root (the hom-profile access shape) pay
-    # the pattern-side compile once, like DPPlan does.
-    cache = getattr(root, "_tape_cache", None)
-    if cache is None or cache[0] is not pattern:
-        cache = (pattern, _compile_instructions(pattern, root))
-        root._tape_cache = cache
-    try:
-        return dp_numpy.execute_tape(
-            cache[1], indexed_target, max_bag,
-            allowed_masks=masks,
-        )
-    except kernel.KernelUnsupported as exc:
-        kernel.note_fallback("dp", exc.reason)
-        return None
 
 
 def prepared_pattern(pattern: Graph) -> NiceNode:

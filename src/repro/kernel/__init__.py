@@ -18,8 +18,9 @@ imported unless available; every consumer keeps its pure-Python path as
 the differential-testing oracle and falls back to it whenever a
 vectorised step could leave int64 (results are exact either way).
 
-This package itself imports neither numpy nor the compute layers at
-module load — it is safe to import anywhere.
+This package never imports numpy at module load.  It imports the DP tape
+opcodes from :mod:`repro.homs.treewidth_dp`; nothing in :mod:`repro.homs`
+imports this package at module load, so there is no import cycle.
 """
 
 from repro.kernel.dp_numpy import packable as dp_packable

@@ -1,11 +1,12 @@
 """Vectorised evaluation of the treewidth-DP instruction tape.
 
-The pure-Python :class:`~repro.engine.plans.DPPlan` walks its tape with
-dict tables ``{bag-assignment tuple: count}``; this module evaluates the
-*same tape* with ndarray tables.  A table is a pair of parallel int64
-arrays — ``codes`` (each bag assignment packed into one integer, base
-``n`` mixed radix, kept unique) and ``counts`` — so the four
-instructions become batched array steps:
+The pure-Python loop of :func:`repro.homs.treewidth_dp.run_tape` walks
+the tape with dict tables ``{bag-assignment tuple: count}``; this module
+evaluates the *same tape* (opcodes from :mod:`repro.homs.treewidth_dp`)
+with ndarray tables.  A table is a pair of parallel int64 arrays —
+``codes`` (each bag assignment packed into one integer, base ``n`` mixed
+radix, kept unique) and ``counts`` — so the four instructions become
+batched array steps:
 
 * LEAF — the empty assignment: ``([0], [1])``;
 * INTRODUCE — digit-extract the already-assigned neighbour images from
@@ -33,15 +34,9 @@ wraparound is impossible.
 
 from __future__ import annotations
 
+from repro.homs.treewidth_dp import FORGET, INTRODUCE, LEAF
 from repro.kernel.backend import KernelUnsupported, numpy_or_none
 from repro.kernel.bitset_numpy import expand_mask, pack_bitsets, pack_mask
-
-# Opcodes mirror repro.engine.plans (kept numerically identical; this
-# module stays importable without triggering the engine package).
-_LEAF = 0
-_INTRODUCE = 1
-_FORGET = 2
-_JOIN = 3
 
 # Packed codes and counts both live in int64 with one bit of headroom.
 _INT64_LIMIT = 1 << 62
@@ -235,12 +230,12 @@ def execute_tape(
     stack: list[tuple] = []  # (codes, counts) pairs, codes unique
     for instruction in instructions:
         op = instruction[0]
-        if op == _LEAF:
+        if op == LEAF:
             stack.append((
                 numpy.zeros(1, dtype=numpy.int64),
                 numpy.ones(1, dtype=numpy.int64),
             ))
-        elif op == _INTRODUCE:
+        elif op == INTRODUCE:
             _, vertex, position, neighbour_positions = instruction
             mask = (
                 allowed_masks.get(vertex)
@@ -252,9 +247,9 @@ def execute_tape(
                     state, stack.pop(), position, neighbour_positions, mask,
                 ),
             )
-        elif op == _FORGET:
+        elif op == FORGET:
             stack.append(_forget(state, stack.pop(), instruction[1]))
-        else:  # _JOIN
+        else:  # JOIN
             stack.append(_join(state, stack.pop(), stack.pop()))
 
     (codes, counts) = stack.pop()

@@ -9,6 +9,7 @@ conjunctive queries with their width measures.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Hashable, Iterable, Iterator, Mapping
 
 from repro.errors import GraphError
@@ -215,56 +216,25 @@ def kg_colour_refinement(graph: KnowledgeGraph) -> dict[Vertex, int]:
 
 
 def kg_wl_1_equivalent(first: KnowledgeGraph, second: KnowledgeGraph) -> bool:
-    """Lockstep KG colour refinement with a shared palette."""
+    """KG 1-WL equivalence: refine the disjoint union once and compare
+    the per-side colour histograms (one refinement gives both sides
+    comparable colours)."""
     if first.num_vertices() != second.num_vertices():
         return False
-    palette: dict = {}
-
-    def intern(signature) -> int:
-        if signature not in palette:
-            palette[signature] = len(palette)
-        return palette[signature]
-
-    def initial(graph: KnowledgeGraph) -> dict:
-        return {
-            v: intern(("label", repr(graph.vertex_label(v))))
+    sides = (first, second)
+    union = KnowledgeGraph(
+        vertices={
+            (side, v): graph.vertex_label(v)
+            for side, graph in enumerate(sides)
             for v in graph.vertices()
-        }
-
-    def refine(graph: KnowledgeGraph, colours: dict) -> dict:
-        return {
-            v: intern(
-                (
-                    colours[v],
-                    tuple(sorted(
-                        ("out", repr(label), colours[target])
-                        for label, target in graph.out_edges(v)
-                    )),
-                    tuple(sorted(
-                        ("in", repr(label), colours[source])
-                        for label, source in graph.in_edges(v)
-                    )),
-                ),
-            )
-            for v in graph.vertices()
-        }
-
-    def histogram(colours: dict) -> dict:
-        result: dict[int, int] = {}
-        for value in colours.values():
-            result[value] = result.get(value, 0) + 1
-        return result
-
-    colours_a = initial(first)
-    colours_b = initial(second)
-    if histogram(colours_a) != histogram(colours_b):
-        return False
-    for _ in range(max(first.num_vertices(), 1)):
-        num_classes = len(set(colours_a.values()) | set(colours_b.values()))
-        colours_a = refine(first, colours_a)
-        colours_b = refine(second, colours_b)
-        if histogram(colours_a) != histogram(colours_b):
-            return False
-        if len(set(colours_a.values()) | set(colours_b.values())) == num_classes:
-            break
-    return True
+        },
+        triples=[
+            ((side, source), label, (side, target))
+            for side, graph in enumerate(sides)
+            for source, label, target in graph.triples()
+        ],
+    )
+    histograms: tuple[Counter, Counter] = (Counter(), Counter())
+    for (side, _), colour in kg_colour_refinement(union).items():
+        histograms[side][colour] += 1
+    return histograms[0] == histograms[1]

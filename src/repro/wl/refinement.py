@@ -162,12 +162,16 @@ def _interned_refinement(
     graph: IndexedGraph,
     initial_signatures: list,
     interner: ColourInterner,
-) -> list[int]:
+) -> tuple[list[int], int]:
     """The seed's synchronous interned refinement over index arrays —
-    identical signatures and interner ids, no per-round label hashing."""
+    identical signatures and interner ids, no per-round label hashing.
+
+    Returns the stable colours and the number of rounds that split a
+    class (the final, stabilising round is not counted)."""
     n = graph.n
     adjacency = graph.adjacency_lists()
     colours = [interner.intern(signature) for signature in initial_signatures]
+    rounds = 0
     for _ in range(max(n, 1)):
         num_classes = len(set(colours))
         colours = [
@@ -178,7 +182,8 @@ def _interned_refinement(
         ]
         if len(set(colours)) == num_classes:
             break
-    return colours
+        rounds += 1
+    return colours, rounds
 
 
 def colour_refinement(
@@ -200,7 +205,7 @@ def colour_refinement(
             signatures: list = ["uniform"] * indexed.n
         else:
             signatures = [("init", initial[label]) for label in labels]
-        colours = _interned_refinement(indexed, signatures, interner)
+        colours, _ = _interned_refinement(indexed, signatures, interner)
         return dict(zip(labels, colours))
     partition = indexed_colour_partition(
         indexed, _normalised_initial(indexed, initial),
@@ -247,25 +252,11 @@ def refinement_rounds(graph: Graph) -> int:
     """Number of rounds until the 1-WL colouring stabilises.
 
     Round-synchronous by definition (the count *is* the number of
-    synchronous rounds), but runs over index arrays with dense integer
-    signatures rather than interned label dicts.
+    synchronous rounds), so it runs the interned synchronous refinement
+    over index arrays from the uniform colouring.
     """
     indexed = graph.to_indexed()
-    n = indexed.n
-    adjacency = indexed.adjacency_lists()
-    colours = [0] * n
-    rounds = 0
-    for _ in range(max(n, 1)):
-        num_classes = len(set(colours))
-        renaming: dict[tuple, int] = {}
-        colours = [
-            renaming.setdefault(
-                (colours[v], tuple(sorted(colours[u] for u in adjacency[v]))),
-                len(renaming),
-            )
-            for v in range(n)
-        ]
-        if len(set(colours)) == num_classes:
-            break
-        rounds += 1
+    _, rounds = _interned_refinement(
+        indexed, ["uniform"] * indexed.n, ColourInterner(),
+    )
     return rounds

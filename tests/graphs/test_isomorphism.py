@@ -1,5 +1,9 @@
 """Unit tests for isomorphism, coloured isomorphism, and automorphisms."""
 
+from itertools import permutations
+
+from hypothesis import given, settings, strategies as st
+
 from repro.graphs import (
     Graph,
     are_isomorphic,
@@ -136,4 +140,60 @@ class TestIsIsomorphismValidation:
         assert is_isomorphism(g, g, identity, predicate=lambda a, b: a == b)
         assert not is_isomorphism(
             g, g, identity, predicate=lambda a, b: a != b,
+        )
+
+
+@st.composite
+def coloured_graphs(draw, max_vertices=6):
+    """A graph on ``0..n-1`` and, half the time, a random 2-colouring
+    (``None`` otherwise)."""
+    n = draw(st.integers(min_value=0, max_value=max_vertices))
+    graph = Graph(vertices=range(n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                graph.add_edge(i, j)
+    colours = None
+    if draw(st.booleans()):
+        colours = {v: draw(st.sampled_from("ab")) for v in range(n)}
+    return graph, colours
+
+
+class TestRefinementGuidedSearchProperties:
+    """The search prunes with one colour refinement of the disjoint union
+    of both graphs; brute force over all permutations is the oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(coloured_graphs())
+    def test_automorphism_count_matches_permutations(self, case):
+        graph, colours = case
+        vertices = graph.vertices()
+        colour = colours or {v: 0 for v in vertices}
+        expected = 0
+        for image in permutations(vertices):
+            mapping = dict(zip(vertices, image))
+            if all(colour[v] == colour[mapping[v]] for v in vertices) and all(
+                graph.has_edge(mapping[u], mapping[v]) for u, v in graph.edges()
+            ):
+                expected += 1
+        assert automorphism_count(graph, colours) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(coloured_graphs(), st.data())
+    def test_shuffled_copy_found_isomorphic(self, case, data):
+        graph, colours = case
+        vertices = graph.vertices()
+        colours = colours or {v: 0 for v in vertices}
+        shuffle = dict(zip(vertices, data.draw(st.permutations(vertices))))
+        # Insert the copy's vertices in sorted order, so its index order
+        # differs from the original's as well as its names.
+        copy = Graph(vertices=sorted(shuffle.values()))
+        for u, v in graph.edges():
+            copy.add_edge(shuffle[u], shuffle[v])
+        copy_colours = {shuffle[v]: c for v, c in colours.items()}
+        mapping = find_isomorphism_coloured(graph, copy, colours, copy_colours)
+        assert mapping is not None
+        assert is_isomorphism(
+            graph, copy, mapping,
+            predicate=lambda v, w: colours[v] == copy_colours[w],
         )

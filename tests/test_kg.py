@@ -2,7 +2,10 @@
 
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from repro.errors import GraphError, QueryError
+from repro.graphs import Graph, six_cycle, two_triangles
 from repro.kg import (
     KgQuery,
     KnowledgeGraph,
@@ -15,6 +18,7 @@ from repro.kg import (
     kg_query_from_triples,
     kg_wl_1_equivalent,
 )
+from repro.wl import wl_1_equivalent
 
 
 def _social_kg() -> KnowledgeGraph:
@@ -35,6 +39,26 @@ def _social_kg() -> KnowledgeGraph:
     kg.add_edge("bob", "likes", "p1")
     kg.add_edge("bob", "likes", "p2")
     return kg
+
+
+def _kg_of(graph: Graph) -> KnowledgeGraph:
+    """The KG of an undirected graph: each edge in both directions under
+    one edge label, no vertex labels."""
+    kg = KnowledgeGraph(vertices=graph.vertices())
+    for u, v in graph.edges():
+        kg.add_edge(u, "e", v)
+        kg.add_edge(v, "e", u)
+    return kg
+
+
+@st.composite
+def _graphs_on(draw, n):
+    graph = Graph(vertices=range(n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                graph.add_edge(i, j)
+    return graph
 
 
 class TestStructure:
@@ -148,6 +172,20 @@ class TestColourRefinement:
         sink = KnowledgeGraph(triples=[("a", "r", "c"), ("b", "r", "c")])
         source = KnowledgeGraph(triples=[("c", "r", "a"), ("c", "r", "b")])
         assert not kg_wl_1_equivalent(sink, source)
+
+    def test_kg_wl1_two_triangles_vs_six_cycle(self):
+        first, second = two_triangles(), six_cycle()
+        assert wl_1_equivalent(first, second)
+        assert kg_wl_1_equivalent(_kg_of(first), _kg_of(second))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_kg_wl1_agrees_with_graph_wl1(self, data):
+        n = data.draw(st.integers(min_value=0, max_value=6))
+        first, second = data.draw(_graphs_on(n)), data.draw(_graphs_on(n))
+        assert kg_wl_1_equivalent(_kg_of(first), _kg_of(second)) == (
+            wl_1_equivalent(first, second)
+        )
 
 
 class TestKgQueries:

@@ -1,5 +1,7 @@
 """Unit tests for 1-WL colour refinement."""
 
+import pytest
+
 from repro.graphs import (
     complete_graph,
     cycle_graph,
@@ -83,5 +85,17 @@ class TestRounds:
     def test_regular_graph_stabilises_immediately(self):
         assert refinement_rounds(cycle_graph(8)) == 0
 
-    def test_path_needs_rounds(self):
-        assert refinement_rounds(path_graph(6)) >= 2
+    @pytest.mark.parametrize(
+        "graph, rounds",
+        [
+            *(
+                pytest.param(path_graph(n), (n - 1) // 2, id=f"path{n}")
+                for n in range(2, 11)
+            ),
+            pytest.param(star_graph(4), 1, id="star4"),
+            pytest.param(petersen_graph(), 0, id="petersen"),
+        ],
+    )
+    def test_rounds_exact(self, graph, rounds):
+        # A path's colours spread inward from both ends one step per round.
+        assert refinement_rounds(graph) == rounds

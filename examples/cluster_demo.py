@@ -1,12 +1,12 @@
 """Demo — the sharded cluster riding through a worker kill, live.
 
-Launches the full topology (consistent-hash router + 3 supervised worker
-processes), registers a dataset and a maintained subscription, then
-SIGKILLs one worker *while counting requests keep flowing* — and shows
-that not a single request fails: the router resubmits in-flight work to
-the surviving workers, the supervisor respawns the dead one, replays the
-replication log into it, and re-admits it to the ring at its old
-position.
+Launches the full topology (router + 3 supervised worker processes),
+registers a dataset and a maintained subscription, then SIGKILLs one
+worker *while counting requests keep flowing* — and shows that not a
+single request fails: the router resubmits in-flight work to the
+surviving workers, the supervisor respawns the dead one, replays the
+replication log into it, and re-admits it under its old id, so it owns
+the same keys again.
 
 Run with::
 

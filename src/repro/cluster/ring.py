@@ -1,84 +1,50 @@
-"""A consistent-hash ring with virtual nodes.
+"""Rendezvous (highest-random-weight) hashing over the worker set.
 
-The router places every worker at ``replicas`` pseudo-random points on a
-2^64 circle (sha256 of ``"{node}#{i}"``) and routes a key to the first
-node clockwise of the key's own point.  Two properties matter for the
-cluster:
+Every (node, key) pair gets a pseudo-random weight (sha256 of
+``"{node}#{key}"``); a key belongs to the node with the highest weight.
+Two properties matter for the cluster:
 
-* **balance** — with enough virtual nodes, each worker owns a roughly
-  equal arc of the circle, so the canonical task keys spread evenly;
-* **stability** — adding or removing one worker only moves the keys in
-  the arcs that worker gained or lost (~1/n of the keyspace), so the
-  per-worker in-memory caches stay warm across membership changes.
-  Modulo hashing would reshuffle nearly every key on every respawn.
+* **balance** — the weights are independent per node, so each worker
+  owns a roughly equal share of the canonical task keys;
+* **stability** — a node's weights do not depend on who else is in the
+  set, so adding a worker moves keys only *to* it and removing one moves
+  only *its* keys (~1/n of the keyspace), and a respawned worker, which
+  keeps its id, owns the same keys as before.  The per-worker in-memory
+  caches stay warm across membership changes, where modulo hashing would
+  reshuffle nearly every key.
 
-``nodes_for`` walks the circle to distinct successor nodes — the router's
-retry/hedging preference list: the primary owner first, then the workers
-whose caches are most likely to have seen neighbouring keys.
+``nodes_for`` ranks the nodes by weight — the router's retry/hedging
+preference list: the owner first, then the order in which the others
+would take the key over.
 """
 
 from __future__ import annotations
 
-import bisect
 import hashlib
-from typing import Iterable, Iterator
+from typing import Iterable
 
 __all__ = ["HashRing"]
 
-DEFAULT_REPLICAS = 64
-
 
 def ring_hash(token: str) -> int:
-    """A stable 64-bit point on the circle (process-independent)."""
+    """A stable 64-bit weight (process-independent)."""
     digest = hashlib.sha256(token.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 
 class HashRing:
-    """Consistent hashing over an explicit node set."""
+    """Rendezvous hashing over an explicit node set."""
 
-    def __init__(
-        self,
-        nodes: Iterable[str] = (),
-        replicas: int = DEFAULT_REPLICAS,
-    ) -> None:
-        if replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {replicas}")
-        self.replicas = replicas
-        self._nodes: set[str] = set()
-        self._points: list[int] = []
-        self._owners: list[str] = []
-        for node in nodes:
-            self.add(node)
+    def __init__(self, nodes: Iterable[str] = ()) -> None:
+        self._nodes: set[str] = set(nodes)
 
-    # ------------------------------------------------------------------
-    # membership
-    # ------------------------------------------------------------------
     def add(self, node: str) -> None:
-        """Place ``node`` on the ring (idempotent)."""
-        if node in self._nodes:
-            return
+        """Put ``node`` in the set (idempotent)."""
         self._nodes.add(node)
-        for i in range(self.replicas):
-            point = ring_hash(f"{node}#{i}")
-            index = bisect.bisect(self._points, point)
-            # sha256 collisions between distinct vnode tokens are not a
-            # practical concern; ties resolve by insertion order.
-            self._points.insert(index, point)
-            self._owners.insert(index, node)
 
     def remove(self, node: str) -> None:
-        """Take ``node`` off the ring (idempotent)."""
-        if node not in self._nodes:
-            return
+        """Take ``node`` out of the set (idempotent)."""
         self._nodes.discard(node)
-        kept = [
-            (point, owner)
-            for point, owner in zip(self._points, self._owners)
-            if owner != node
-        ]
-        self._points = [point for point, _ in kept]
-        self._owners = [owner for _, owner in kept]
 
     @property
     def nodes(self) -> frozenset[str]:
@@ -90,46 +56,27 @@ class HashRing:
     def __contains__(self, node: str) -> bool:
         return node in self._nodes
 
-    # ------------------------------------------------------------------
-    # routing
-    # ------------------------------------------------------------------
-    def _successors(self, key: str) -> Iterator[str]:
-        start = bisect.bisect(self._points, ring_hash(key))
-        count = len(self._owners)
-        for step in range(count):
-            yield self._owners[(start + step) % count]
-
     def node_for(self, key: str) -> str:
-        """The node owning ``key`` (first vnode clockwise of its point)."""
-        if not self._nodes:
-            raise LookupError("hash ring is empty")
-        return next(self._successors(key))
+        """The node owning ``key`` (the highest weight)."""
+        return self.nodes_for(key, 1)[0]
 
     def nodes_for(self, key: str, count: int | None = None) -> list[str]:
-        """Up to ``count`` *distinct* nodes in clockwise preference order.
+        """Up to ``count`` *distinct* nodes in preference order.
 
         The first entry is ``node_for(key)``; the rest are the fallback
-        owners a router should try on retry or hedge.  ``count=None``
+        owners a router should try on retry or hedge, in the order they
+        would own ``key`` as the nodes before them leave.  ``count=None``
         returns every node.
         """
         if not self._nodes:
             raise LookupError("hash ring is empty")
-        if count is None:
-            count = len(self._nodes)
-        preference: list[str] = []
-        seen: set[str] = set()
-        for owner in self._successors(key):
-            if owner in seen:
-                continue
-            preference.append(owner)
-            seen.add(owner)
-            if len(preference) >= count or len(seen) == len(self._nodes):
-                break
-        return preference
+        ranked = sorted(
+            self._nodes,
+            key=lambda node: (ring_hash(f"{node}#{key}"), node),
+            reverse=True,
+        )
+        return ranked if count is None else ranked[:count]
 
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
     def ownership(self, keys: Iterable[str]) -> dict[str, int]:
         """How many of ``keys`` each node owns (balance diagnostics)."""
         counts = {node: 0 for node in self._nodes}

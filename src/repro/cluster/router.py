@@ -7,13 +7,16 @@ The router speaks the *exact* wire protocol of a single
 splits traffic three ways:
 
 * **counting routes** (``/task``, ``/count``, ``/count-answers``,
-  ``/wl-dim``, ``/analyze``) consistent-hash their canonical request
-  digest onto one worker, with router-level **single-flight** (a
-  stampede on one hot task leaves the router as a single worker
-  request), bounded **retry** on worker death (connection failures
-  resubmit to the next ring owner — a kill never surfaces as a client
-  error, because every worker replicates the dataset plane), and one
-  **hedge** request when the owner is slow;
+  ``/wl-dim``, ``/analyze``) are placed on one worker by rendezvous
+  hashing of their task digest — ``stable_key_digest`` of the
+  :func:`~repro.service.server.task_body`, so a verb and a ``/task``
+  request with one body reach one worker's caches — with router-level
+  **single-flight** per route and digest (a stampede on one hot task
+  leaves the router as a single worker request), bounded **retry** on
+  worker death (connection failures resubmit to the next owner in the
+  preference list — a kill never surfaces as a client error, because
+  every worker replicates the dataset plane), and one **hedge** request
+  when the owner is slow;
 * **mutating routes** (``/register-dataset``, ``/target-update``,
   ``/subscribe``) are serialised through the
   :class:`~repro.cluster.state.ClusterState` log and fanned out to every
@@ -43,14 +46,19 @@ from repro.obs import (
     registry as metrics_registry,
     span,
 )
-from repro.service.server import ServiceServer
+from repro.service.server import (
+    encode_message,
+    metrics_response,
+    read_message,
+    task_body,
+)
 from repro.cluster.ring import HashRing
 from repro.cluster.state import REPLICATED_ROUTES, ClusterState
 from repro.utils import stable_key_digest
 
 import logging
 
-__all__ = ["ClusterRouter", "RouterServer", "WorkerUnreachable"]
+__all__ = ["ClusterRouter", "http_call"]
 
 _log = get_logger("cluster.router")
 
@@ -64,14 +72,6 @@ DELEGATED_ROUTES = frozenset({
     "/datasets", "/subscriptions", "/slo", "/alerts", "/traces",
     "/profile", "/slow-queries",
 })
-
-
-class WorkerUnreachable(ConnectionError):
-    """A worker connection failed outright (refused, reset, or EOF)."""
-
-    def __init__(self, worker_id: str, reason: str) -> None:
-        super().__init__(f"worker {worker_id} unreachable: {reason}")
-        self.worker_id = worker_id
 
 
 async def http_call(
@@ -90,33 +90,15 @@ async def http_call(
     async def call() -> tuple[int, dict | str]:
         reader, writer = await asyncio.open_connection(host, port)
         try:
-            data = json.dumps(body).encode("utf-8") if body is not None else b""
-            trace = f"X-Repro-Trace: {trace_id}\r\n" if trace_id else ""
-            writer.write(
-                (
-                    f"{method} {path} HTTP/1.1\r\n"
-                    f"Host: {host}:{port}\r\n"
-                    "Content-Type: application/json\r\n"
-                    f"Content-Length: {len(data)}\r\n"
-                    f"{trace}"
-                    "Connection: close\r\n\r\n"
-                ).encode("ascii") + data,
-            )
+            writer.write(encode_message(
+                f"{method} {path} HTTP/1.1", body, trace_id,
+                host=f"{host}:{port}",
+            ))
             await writer.drain()
-            status_line = await reader.readline()
-            parts = status_line.decode("ascii", "replace").split()
-            if len(parts) < 2 or not parts[1].isdigit():
-                raise ConnectionError(f"malformed status line {status_line!r}")
-            status = int(parts[1])
-            headers: dict[str, str] = {}
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("ascii", "replace").partition(":")
-                headers[name.strip().lower()] = value.strip()
-            length = int(headers.get("content-length", "0") or "0")
-            raw = await reader.readexactly(length) if length else b""
+            fields, headers, raw = await read_message(reader)
+            if len(fields) < 2 or not fields[1].isdigit():
+                raise ConnectionError(f"malformed status line {fields!r}")
+            status = int(fields[1])
             if headers.get("content-type", "").startswith("application/json"):
                 return status, json.loads(raw) if raw else {}
             return status, raw.decode("utf-8", "replace")
@@ -142,24 +124,19 @@ class ClusterRouter:
     """
 
     def __init__(
-        self,
-        host: str = "127.0.0.1",
-        replicas: int = 64,
-        request_timeout: float = 60.0,
-        hedge_after: float = 1.0,
-        on_suspect=None,
+        self, request_timeout: float = 60.0, hedge_after: float = 1.0,
     ) -> None:
-        self.host = host
-        self.ring = HashRing(replicas=replicas)
+        self.ring = HashRing()
         self.state = ClusterState()
         self.request_timeout = request_timeout
         self.hedge_after = hedge_after
-        self.on_suspect = on_suspect
+        #: Called with a demoted worker's id (the supervisor sets it).
+        self.on_suspect = None
         #: worker id -> (host, port); only admitted (replayed) workers.
         self._workers: dict[str, tuple[str, int]] = {}
         self._membership = asyncio.Event()
         self._mutate_lock = asyncio.Lock()
-        self._inflight: dict[str, asyncio.Future] = {}
+        self._inflight: dict[tuple[str, str], asyncio.Future] = {}
         self.request_counts: dict[str, int] = {}
         registry = metrics_registry()
         self._requests_total = registry.counter(
@@ -187,6 +164,13 @@ class ClusterRouter:
 
     def close(self) -> None:
         metrics_registry().unregister_collector(self._collect_metrics)
+
+    # The transport's lifecycle hooks: the supervisor owns the workers.
+    async def start(self) -> None:
+        pass
+
+    async def stop(self) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # membership
@@ -265,8 +249,10 @@ class ClusterRouter:
         client_trace: str | None = None,
     ) -> tuple[int, dict | str, str | None]:
         """The transport entry point — signature-compatible with
-        :meth:`CountingService.handle`, so :class:`RouterServer` reuses
-        the existing HTTP parsing layer unchanged."""
+        :meth:`CountingService.handle`, so
+        :class:`~repro.service.server.ServiceServer` serves the router
+        as it serves a service.  Unknown paths count under one
+        ``<unknown>`` label, as in the service."""
         route = (method.upper(), path.rstrip("/") or "/")
         name = route[1]
         sp = span("router.request", route=name, method=route[0])
@@ -282,6 +268,8 @@ class ClusterRouter:
                     "code": "cluster-unavailable",
                 }
             sp.annotate(status=status)
+        if isinstance(payload, dict) and payload.get("code") == "unknown-route":
+            name = "<unknown>"
         self.request_counts[name] = self.request_counts.get(name, 0) + 1
         self._requests_total.labels(route=name).inc()
         if status >= 400 and isinstance(payload, dict) and sp.trace_id:
@@ -305,7 +293,7 @@ class ClusterRouter:
         if method == "GET" and path == "/stats":
             return await self._aggregate_stats()
         if method == "GET" and path == "/metrics":
-            return self._own_metrics(body)
+            return metrics_response(body)
         if path in DELEGATED_ROUTES or (method, path) == ("POST", "/profile"):
             return await self._delegate(method, path, body, trace_id)
         return 404, {
@@ -320,7 +308,8 @@ class ClusterRouter:
     async def _dispatch_hashed(
         self, path: str, body: dict, trace_id: str | None,
     ) -> tuple[int, dict | str]:
-        key = stable_key_digest((path, body))
+        digest = stable_key_digest(task_body(path, body))
+        key = (path, digest)
         existing = self._inflight.get(key)
         if existing is not None:
             self._coalesced_total.inc()
@@ -328,7 +317,7 @@ class ClusterRouter:
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._inflight[key] = future
         try:
-            result = await self._forward_with_retry(path, body, key, trace_id)
+            result = await self._forward_with_retry(path, body, digest, trace_id)
             future.set_result(result)
             return result
         except BaseException as error:
@@ -344,7 +333,7 @@ class ClusterRouter:
     async def _forward_with_retry(
         self, path: str, body: dict, key: str, trace_id: str | None,
     ) -> tuple[int, dict | str]:
-        """Forward to the key's ring owner; resubmit on worker death,
+        """Forward to the key's owner; resubmit on worker death,
         hedge once the owner looks slow, wait out respawn windows.
 
         Counting routes are idempotent (same canonical task, same
@@ -650,14 +639,6 @@ class ClusterRouter:
         }
         return 200, payload
 
-    def _own_metrics(self, body: dict) -> tuple[int, dict | str]:
-        fmt = body.get("format", "prometheus")
-        if fmt == "json":
-            return 200, {
-                "kind": "metrics", "metrics": metrics_registry().snapshot(),
-            }
-        return 200, metrics_registry().render_prometheus()
-
     async def _delegate(
         self, method: str, path: str, body: dict, trace_id: str | None,
     ) -> tuple[int, dict | str]:
@@ -730,28 +711,3 @@ def _merge_numeric(snapshots: list[dict]) -> dict:
             merged[key] = round(merged[key] / counts[key], 4)
     return merged
 
-
-class RouterServer(ServiceServer):
-    """The router on a TCP port — reuses :class:`ServiceServer`'s HTTP
-    parsing verbatim (that layer only calls ``self.service.handle``);
-    only the lifecycle differs, because the router has no scheduler or
-    monitors of its own."""
-
-    def __init__(
-        self, router: ClusterRouter, host: str = "127.0.0.1", port: int = 0,
-    ) -> None:
-        super().__init__(router, host=host, port=port)  # type: ignore[arg-type]
-        self.router = router
-
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port,
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        self.router.close()

@@ -1,25 +1,30 @@
 """Worker lifecycle: spawn, watch, respawn, re-admit.
 
 The supervisor owns N worker subprocesses (``repro.cluster.worker``) and
-the membership of the router's hash ring:
+the router's worker membership:
 
 * **spawn** — workers bind port 0 and announce their endpoint on stdout;
   the supervisor parses the announce line, waits for ``/readyz``, then
   asks the router to *admit* the worker (which replays the replication
   log first, so a late joiner arrives at the committed dataset state);
+  a worker that does not announce or answer within ``SPAWN_TIMEOUT_S``
+  fails the spawn;
 * **watch** — a monitor task polls child liveness; an exited worker is
-  demoted from the ring immediately.  Demotion is what makes SIGKILL
+  demoted immediately.  Demotion is what makes SIGKILL
   invisible to clients: the router's retry loop resubmits in-flight
   counting requests to the surviving owners (counting is idempotent), so
   a kill costs latency, never an error;
 * **respawn** — dead workers come back as a fresh process under the same
-  stable worker id (``w0`` … ``wN``), so the ring position — and
-  therefore the cache affinity of its key range — survives the restart.
-  A respawn budget guards against crash loops.
+  stable worker id (``w0`` … ``wN``); rendezvous hashing ranks workers
+  by id, so the respawned worker owns the same keys — the cache affinity
+  of its key range survives the restart.  A budget of ``RESPAWN_LIMIT``
+  respawns guards against crash loops.
 
-:class:`Cluster` is the in-process facade (daemon-thread asyncio loop,
-context-manager friendly) used by tests, benchmarks, and the demo;
-:func:`run_cluster` is the blocking entry behind ``repro cluster``.
+:class:`Cluster` is the in-process facade used by tests, benchmarks, and
+the demo, on :class:`~repro.service.server.BackgroundServer`'s
+daemon-thread harness; :func:`run_cluster` is the blocking entry behind
+``repro cluster``, on ``repro serve``'s runner.  Both serve the router
+with the service's own :class:`~repro.service.server.ServiceServer`.
 """
 
 from __future__ import annotations
@@ -29,16 +34,21 @@ import logging
 import os
 import signal
 import sys
-import threading
 
 import repro
 from repro.obs import get_logger, log_event
-from repro.cluster.router import ClusterRouter, RouterServer, http_call
+from repro.cluster.router import ClusterRouter, http_call
 from repro.cluster.worker import ANNOUNCE_PREFIX
+from repro.service.server import ServiceServer, ServingThread, serve_blocking
 
 __all__ = ["WorkerProcess", "Supervisor", "Cluster", "run_cluster"]
 
 _log = get_logger("cluster.supervisor")
+
+#: Seconds a spawned worker has to announce its port, then to answer.
+SPAWN_TIMEOUT_S = 30.0
+#: Respawns per supervisor lifetime before a crash loop is left dead.
+RESPAWN_LIMIT = 5
 
 
 class WorkerProcess:
@@ -74,16 +84,12 @@ class Supervisor:
         data_dir: str | None = None,
         scheduler_workers: int = 4,
         max_queue: int = 256,
-        spawn_timeout: float = 30.0,
-        respawn_limit: int = 5,
     ) -> None:
         self.router = router
         self.host = host
         self.data_dir = data_dir
         self.scheduler_workers = scheduler_workers
         self.max_queue = max_queue
-        self.spawn_timeout = spawn_timeout
-        self.respawn_limit = respawn_limit
         self.workers: dict[str, WorkerProcess] = {
             f"w{i}": WorkerProcess(f"w{i}") for i in range(workers)
         }
@@ -149,7 +155,7 @@ class Supervisor:
         )
         worker.process = process
         worker.host, worker.port = await asyncio.wait_for(
-            self._read_announce(worker), timeout=self.spawn_timeout,
+            self._read_announce(worker), timeout=SPAWN_TIMEOUT_S,
         )
         await self._wait_ready(worker)
         admitted = await self.router.admit_worker(
@@ -184,7 +190,7 @@ class Supervisor:
                 return host, int(port)
 
     async def _wait_ready(self, worker: WorkerProcess) -> None:
-        deadline = asyncio.get_running_loop().time() + self.spawn_timeout
+        deadline = asyncio.get_running_loop().time() + SPAWN_TIMEOUT_S
         while True:
             try:
                 status, _ = await http_call(
@@ -199,7 +205,7 @@ class Supervisor:
             if asyncio.get_running_loop().time() > deadline:
                 raise TimeoutError(
                     f"worker {worker.worker_id} not ready within "
-                    f"{self.spawn_timeout}s",
+                    f"{SPAWN_TIMEOUT_S}s",
                 )
             await asyncio.sleep(0.05)
 
@@ -223,7 +229,7 @@ class Supervisor:
         if (
             self._stopping
             or worker.worker_id in self._respawning
-            or self.respawns >= self.respawn_limit
+            or self.respawns >= RESPAWN_LIMIT
         ):
             return
         self._respawning.add(worker.worker_id)
@@ -275,14 +281,19 @@ class Supervisor:
         }
 
 
-class Cluster:
+class Cluster(ServingThread):
     """The whole topology (router + supervisor + workers) in one object.
 
-    Runs its own asyncio loop in a daemon thread, mirroring
+    Runs its own asyncio loop in a daemon thread, like
     :class:`~repro.service.server.BackgroundServer`, so tests, benchmarks
     and the demo drive a real multi-process cluster through the plain
     blocking :class:`~repro.service.client.ServiceClient`.
     """
+
+    _thread_name = "repro-cluster"
+    _what = "cluster"
+    _start_timeout = 120.0
+    _stop_timeout = 60.0
 
     def __init__(
         self,
@@ -295,8 +306,7 @@ class Cluster:
         hedge_after: float = 1.0,
         request_timeout: float = 60.0,
     ) -> None:
-        self.host = host
-        self.port = port
+        super().__init__(host, port)
         self.router: ClusterRouter | None = None
         self.supervisor: Supervisor | None = None
         self._config = {
@@ -307,36 +317,17 @@ class Cluster:
         }
         self._hedge_after = hedge_after
         self._request_timeout = request_timeout
-        self._thread: threading.Thread | None = None
-        self._ready = threading.Event()
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop_event: asyncio.Event | None = None
-        self._startup_error: BaseException | None = None
 
-    def start(self) -> "Cluster":
-        self._thread = threading.Thread(
-            target=self._run, name="repro-cluster", daemon=True,
+    def _build(self) -> list:
+        self.router = ClusterRouter(
+            hedge_after=self._hedge_after,
+            request_timeout=self._request_timeout,
         )
-        self._thread.start()
-        self._ready.wait(timeout=120.0)
-        if self._startup_error is not None:
-            raise self._startup_error
-        if not self._ready.is_set():
-            raise TimeoutError("cluster did not start within 120s")
-        return self
-
-    def stop(self) -> None:
-        if self._loop is not None and self._stop_event is not None:
-            self._loop.call_soon_threadsafe(self._stop_event.set)
-        if self._thread is not None:
-            self._thread.join(timeout=60.0)
-            self._thread = None
-
-    def __enter__(self) -> "Cluster":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+        self.supervisor = Supervisor(self.router, host=self.host, **self._config)
+        return [
+            self.supervisor,
+            ServiceServer(self.router, host=self.host, port=self.port),
+        ]
 
     # ------------------------------------------------------------------
     # chaos helpers (tests + demo)
@@ -358,48 +349,6 @@ class Cluster:
         os.kill(pid, sig)
         return pid
 
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as error:  # noqa: BLE001 - surfaced to start()
-            self._startup_error = error
-            self._ready.set()
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        router = ClusterRouter(
-            host=self.host,
-            hedge_after=self._hedge_after,
-            request_timeout=self._request_timeout,
-        )
-        supervisor = Supervisor(
-            router,
-            workers=self._config["workers"],
-            host=self.host,
-            data_dir=self._config["data_dir"],
-            scheduler_workers=self._config["scheduler_workers"],
-            max_queue=self._config["max_queue"],
-        )
-        server = RouterServer(router, host=self.host, port=self.port)
-        try:
-            await supervisor.start()
-            await server.start()
-        except BaseException as error:
-            await supervisor.stop()
-            self._startup_error = error
-            self._ready.set()
-            return
-        self.router = router
-        self.supervisor = supervisor
-        self.port = server.port
-        self._ready.set()
-        try:
-            await self._stop_event.wait()
-        finally:
-            await supervisor.stop()
-            await server.stop()
-
 
 def run_cluster(
     host: str = "127.0.0.1",
@@ -412,33 +361,18 @@ def run_cluster(
 ) -> int:
     """Blocking entry point behind ``repro cluster``."""
 
-    async def main() -> None:
-        router = ClusterRouter(host=host)
+    def build() -> list:
+        router = ClusterRouter()
         supervisor = Supervisor(
             router, workers=workers, host=host, data_dir=data_dir,
             scheduler_workers=scheduler_workers, max_queue=max_queue,
         )
-        server = RouterServer(router, host=host, port=port)
-        await supervisor.start()
-        await server.start()
-        announce(
-            f"repro cluster listening on http://{host}:{server.port} "
-            f"({workers} workers"
-            + (f", persistent cache: {data_dir})" if data_dir else ")"),
-        )
-        try:
-            await server.serve_forever()
-        except asyncio.CancelledError:
-            pass
-        finally:
-            await supervisor.stop()
-            await server.stop()
+        return [supervisor, ServiceServer(router, host=host, port=port)]
 
-    try:
-        asyncio.run(main())
-    except KeyboardInterrupt:
-        pass
-    except OSError as error:
-        print(f"error: cannot bind {host}:{port}: {error}", file=sys.stderr)
-        return 2
-    return 0
+    return serve_blocking(
+        build, host, port,
+        lambda bound: f"repro cluster listening on http://{host}:{bound} "
+        f"({workers} workers"
+        + (f", persistent cache: {data_dir})" if data_dir else ")"),
+        announce,
+    )

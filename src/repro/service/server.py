@@ -2,13 +2,22 @@
 
 Layers (top to bottom):
 
-* :class:`ServiceServer` / :class:`BackgroundServer` — a minimal
-  HTTP/1.1 loop on ``asyncio.start_server`` (stdlib only: parse request
-  line + headers, read ``Content-Length`` body, answer JSON, close);
+* :class:`ServiceServer` — a minimal HTTP/1.1 loop on
+  ``asyncio.start_server`` (stdlib only: one request per connection,
+  ``Content-Length`` bodies, JSON or Prometheus text, close) around any
+  object with ``handle`` and ``start()``/``stop()``: a
+  :class:`CountingService`, or the cluster's
+  :class:`~repro.cluster.router.ClusterRouter`.  The two framing helpers,
+  :func:`encode_message` and :func:`read_message`, also carry the
+  router's calls to its workers.  :class:`ServingThread` (the base of
+  :class:`BackgroundServer` and :class:`~repro.cluster.Cluster`) runs a
+  server on a loop in a daemon thread; :func:`serve_blocking` (behind
+  :func:`run_server` and ``repro cluster``) runs one until interrupted;
 * :class:`CountingService` — the operations.  Every counting route is
   ``POST /task``: the verbs (``/count``, ``/count-answers``, ``/wl-dim``,
-  ``/analyze``) are aliases that fill in the task kind and differ only in
-  response shape.  One handler decodes the body into its canonical
+  ``/analyze``) are aliases that fill in the task kind
+  (:func:`task_body`) and differ only in response shape.  One handler
+  decodes the body into its canonical
   :mod:`repro.api.tasks` spec, runs it on a
   :class:`~repro.api.executors.LocalExecutor` bound to the service's
   engine and registry, and goes through the
@@ -23,7 +32,8 @@ Layers (top to bottom):
 The service installs its engine as the process-wide default
 (:func:`repro.engine.set_default_engine`), so library paths reached from
 request handlers — Lemma-22 interpolation in particular — ride the same
-caches.  ``BackgroundServer.stop()`` restores the previous default.
+caches.  ``CountingService.close()`` (run by ``stop()``, so by
+``BackgroundServer.stop()``) restores the previous default.
 
 Errors travel as structured payloads: ``{"kind": "error", "error":
 message, "code": stable-code}`` with the code taken from the
@@ -173,14 +183,40 @@ def _limit(body: dict) -> int:
     return limit
 
 
-# The verb routes are aliases of POST /task: each fills in its task kind
-# (``/count-answers`` takes a KG query when the body carries ``kg_query``).
+# The verb routes are aliases of POST /task: each fills in its task kind.
 _VERB_KINDS = {
     "/count": "hom-count",
     "/count-answers": "answer-count",
     "/wl-dim": "wl-dimension",
     "/analyze": "analyze",
 }
+
+
+def task_body(path: str, body: dict) -> dict:
+    """The ``POST /task`` body a counting request stands for: a verb
+    alias fills in its task kind (``/count-answers`` takes a KG query
+    when the body carries ``kg_query``); a ``/task`` body is its own.
+    The service keys its scheduler on it and the cluster router places
+    requests by its digest, so a verb and a ``/task`` request with one
+    body are one job on one worker."""
+    kind = _VERB_KINDS.get(path)
+    if kind is None:
+        return body
+    if kind == "answer-count" and "kg_query" in body:
+        kind = "kg-answer-count"
+    return {**body, "task": kind}
+
+
+def metrics_response(body: dict) -> tuple[int, dict | str]:
+    """``GET /metrics`` on this process's registry, for the service and
+    the cluster router alike: Prometheus text, or the JSON snapshot for
+    ``format=json``; any other format is a 400."""
+    fmt = body.get("format", "prometheus")
+    if fmt == "json":
+        return 200, {"kind": "metrics", "metrics": metrics_registry().snapshot()}
+    if fmt not in ("prometheus", "text"):
+        return 400, _bad_request(f"unknown metrics format {fmt!r}")
+    return 200, metrics_registry().render_prometheus()
 
 
 class CountingService:
@@ -253,10 +289,9 @@ class CountingService:
         metrics_registry().register_collector(self._collect_metrics)
         metrics_registry().register_collector(self._collect_health)
         self._routes = {
-            ("POST", "/task"): self._op_task,
             **{
-                ("POST", path): partial(self._op_task, kind=kind)
-                for path, kind in _VERB_KINDS.items()
+                ("POST", path): partial(self._op_task, path=path)
+                for path in ("/task", *_VERB_KINDS)
             },
             ("POST", "/register-dataset"): self._op_register,
             ("POST", "/target-update"): self._op_target_update,
@@ -291,23 +326,29 @@ class CountingService:
             self._previous_default = None
 
     def close(self) -> None:
-        """Release held resources (the persistent store's append handle)."""
+        """Release held resources (the persistent store's append handle)
+        and restore the previous default engine."""
         metrics_registry().unregister_collector(self._collect_metrics)
         metrics_registry().unregister_collector(self._collect_health)
-        self.stop_monitors()
+        self.loop_monitor.stop()
         self.gc_tracker.uninstall()
         if self.store is not None:
             self.store.close()
+        self.restore_default_engine()
 
     # ------------------------------------------------------------------
-    # health monitors (started by the transport once a loop exists)
+    # lifecycle (awaited by the transport around listening)
     # ------------------------------------------------------------------
-    def start_monitors(self, loop) -> None:
-        """Attach the event-loop lag watchdog to the serving loop."""
-        self.loop_monitor.start(loop)
+    async def start(self) -> None:
+        """Start the scheduler and attach the event-loop lag watchdog to
+        the serving loop."""
+        await self.scheduler.start()
+        self.loop_monitor.start(asyncio.get_running_loop())
 
-    def stop_monitors(self) -> None:
+    async def stop(self) -> None:
         self.loop_monitor.stop()
+        await self.scheduler.stop()
+        self.close()
 
     # ------------------------------------------------------------------
     # dispatch
@@ -410,20 +451,17 @@ class CountingService:
         kind = "kg" if task.kind == "kg-answer-count" else "graph"
         return self.registry.get(target, kind=kind).serving.content_token
 
-    async def _op_task(self, body: dict, kind: str | None = None) -> dict:
-        """Every counting route: ``POST /task`` takes the task kind from
-        the body and answers the full result payload; a verb alias passes
-        its ``kind`` and answers in its per-verb shape.
+    async def _op_task(self, body: dict, path: str) -> dict:
+        """Every counting route: ``POST /task`` answers the full result
+        payload; a verb alias answers in its per-verb shape.
 
-        Admission runs on the event loop.  The scheduler key is the body
-        plus its dataset tokens: identical bodies decode to equal tasks,
-        so coalesced callers share query text and target name, and a
-        verb and a ``/task`` request with one body share one job.
+        Admission runs on the event loop.  The scheduler key is the
+        :func:`task_body` plus its dataset tokens: identical bodies
+        decode to equal tasks, so coalesced callers share query text and
+        target name, and a verb and a ``/task`` request with one body
+        share one job.
         """
-        if kind is not None:
-            if kind == "answer-count" and "kg_query" in body:
-                kind = "kg-answer-count"
-            body = {**body, "task": kind}
+        body = task_body(path, body)
         task = task_from_wire(body)
         members = task if isinstance(task, TaskBatch) else (task,)
         key = (
@@ -441,7 +479,7 @@ class CountingService:
         result = await self.scheduler.submit(
             key, lambda: self.session.run(task),
         )
-        return result_to_wire(result) if kind is None else result_to_payload(result)
+        return result_to_wire(result) if path == "/task" else result_to_payload(result)
 
     async def _op_register(self, body: dict) -> dict:
         name = _require(body, "name")
@@ -665,14 +703,8 @@ class CountingService:
         )
         return alerts_payload(states)
 
-    async def _op_metrics(self, body: dict) -> dict | str:
-        """The process metrics registry: Prometheus text, or JSON."""
-        fmt = body.get("format", "prometheus")
-        if fmt == "json":
-            return {"kind": "metrics", "metrics": metrics_registry().snapshot()}
-        if fmt not in ("prometheus", "text"):
-            raise WireError(f"unknown metrics format {fmt!r}")
-        return metrics_registry().render_prometheus()
+    async def _op_metrics(self, body: dict):
+        return metrics_response(body)
 
     async def _op_traces(self, body: dict) -> dict:
         """Recent and recent-slow completed span trees."""
@@ -899,23 +931,75 @@ class CountingService:
 # ----------------------------------------------------------------------
 # HTTP transport
 # ----------------------------------------------------------------------
-class ServiceServer:
-    """Bind a :class:`CountingService` to a TCP port (asyncio, HTTP/1.1)."""
+_REASONS = {
+    200: "OK", 400: "Bad Request", 404: "Not Found", 503: "Service Unavailable",
+}
 
-    def __init__(
-        self,
-        service: CountingService,
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ) -> None:
+
+def encode_message(
+    start_line: str,
+    payload: dict | str | None,
+    trace_id: str | None = None,
+    host: str | None = None,
+) -> bytes:
+    """One HTTP/1.1 message, request or response: a dict travels as
+    JSON (``None`` as an empty JSON body), a string as Prometheus text,
+    and every message says ``Connection: close``."""
+    if isinstance(payload, str):
+        data = payload.encode("utf-8")
+        content_type = "text/plain; version=0.0.4; charset=utf-8"
+    else:
+        data = json.dumps(payload).encode("utf-8") if payload is not None else b""
+        content_type = "application/json"
+    host_header = f"Host: {host}\r\n" if host else ""
+    trace_header = f"X-Repro-Trace: {trace_id}\r\n" if trace_id else ""
+    return (
+        f"{start_line}\r\n"
+        f"{host_header}"
+        f"Content-Type: {content_type}\r\n"
+        f"Content-Length: {len(data)}\r\n"
+        f"{trace_header}"
+        "Connection: close\r\n\r\n"
+    ).encode("ascii") + data
+
+
+async def read_message(
+    reader: asyncio.StreamReader, max_body: int | None = None,
+) -> tuple[list[str], dict[str, str], bytes | None]:
+    """Read one HTTP/1.1 message: the fields of its start line, its
+    headers (names lower-cased) and its ``Content-Length`` body.  A body
+    longer than ``max_body`` is left unread and returned as ``None``."""
+    fields = (await reader.readline()).decode("ascii", "replace").split()
+    headers: dict[str, str] = {}
+    while True:
+        line = await reader.readline()
+        if line in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = line.decode("ascii", "replace").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    length = int(headers.get("content-length", "0") or "0")
+    if max_body is not None and length > max_body:
+        return fields, headers, None
+    return fields, headers, (await reader.readexactly(length) if length else b"")
+
+
+class ServiceServer:
+    """Serve a request handler on a TCP port (asyncio, HTTP/1.1).
+
+    The served object — a :class:`CountingService`, or the cluster's
+    :class:`~repro.cluster.router.ClusterRouter` — answers
+    ``handle(method, path, body, client_trace)`` and has ``start()`` and
+    ``stop()`` coroutines, awaited before listening and after closing.
+    """
+
+    def __init__(self, service, host: str = "127.0.0.1", port: int = 0) -> None:
         self.service = service
         self.host = host
         self.port = port
         self._server: asyncio.base_events.Server | None = None
 
     async def start(self) -> None:
-        await self.service.scheduler.start()
-        self.service.start_monitors(asyncio.get_running_loop())
+        await self.service.start()
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port,
         )
@@ -926,9 +1010,7 @@ class ServiceServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        self.service.stop_monitors()
-        await self.service.scheduler.stop()
-        self.service.close()
+        await self.service.stop()
 
     async def serve_forever(self) -> None:
         if self._server is None:
@@ -942,29 +1024,9 @@ class ServiceServer:
     ) -> None:
         try:
             status, payload, trace_id = await self._handle_request(reader)
-            if isinstance(payload, str):
-                data = payload.encode("utf-8")
-                content_type = "text/plain; version=0.0.4; charset=utf-8"
-            else:
-                data = json.dumps(payload).encode("utf-8")
-                content_type = "application/json"
-            reason = {
-                200: "OK",
-                400: "Bad Request",
-                404: "Not Found",
-                503: "Service Unavailable",
-            }.get(status, "Internal Server Error")
-            trace_header = (
-                f"X-Repro-Trace: {trace_id}\r\n" if trace_id else ""
-            )
+            reason = _REASONS.get(status, "Internal Server Error")
             writer.write(
-                (
-                    f"HTTP/1.1 {status} {reason}\r\n"
-                    f"Content-Type: {content_type}\r\n"
-                    f"Content-Length: {len(data)}\r\n"
-                    f"{trace_header}"
-                    "Connection: close\r\n\r\n"
-                ).encode("ascii") + data,
+                encode_message(f"HTTP/1.1 {status} {reason}", payload, trace_id),
             )
             await writer.drain()
         except (ConnectionError, asyncio.IncompleteReadError):
@@ -980,23 +1042,12 @@ class ServiceServer:
         self, reader: asyncio.StreamReader,
     ) -> tuple[int, dict | str, str | None]:
         try:
-            request_line = await reader.readline()
-            parts = request_line.decode("ascii", "replace").split()
-            if len(parts) < 2:
+            fields, headers, raw = await read_message(reader, max_body=_MAX_BODY)
+            if len(fields) < 2:
                 return 400, _bad_request("malformed request line"), None
-            method, target = parts[0], parts[1]
-            path, _, query = target.partition("?")
-            headers: dict[str, str] = {}
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("ascii", "replace").partition(":")
-                headers[name.strip().lower()] = value.strip()
-            length = int(headers.get("content-length", "0") or "0")
-            if length > _MAX_BODY:
+            if raw is None:
                 return 400, _bad_request("request body too large"), None
-            raw = await reader.readexactly(length) if length else b""
+            method, (path, _, query) = fields[0], fields[1].partition("?")
             body = json.loads(raw) if raw else {}
             if not isinstance(body, dict):
                 return 400, _bad_request("request body must be a JSON object"), None
@@ -1020,6 +1071,43 @@ class ServiceServer:
             }, None
 
 
+# ----------------------------------------------------------------------
+# runners: blocking and daemon-thread, over one serving coroutine
+# ----------------------------------------------------------------------
+async def _serve(build, started, until) -> None:
+    """Build the parts — the last one a :class:`ServiceServer` — start
+    them in order, pass the bound port to ``started`` and serve until
+    ``until(server)`` returns.  Then, or when a part fails to start, stop
+    every part in reverse order (a part that failed half-way, like a
+    supervisor with some workers spawned, cleans up in its ``stop()``)."""
+    parts = build()
+    try:
+        for part in parts:
+            await part.start()
+        started(parts[-1].port)
+        await until(parts[-1])
+    finally:
+        for part in reversed(parts):
+            await part.stop()
+
+
+def serve_blocking(build, host: str, port: int, banner, announce=print) -> int:
+    """Serve the parts ``build()`` returns until interrupted, announcing
+    ``banner(bound_port)``: the blocking entry behind ``repro serve`` and
+    ``repro cluster``."""
+    try:
+        asyncio.run(_serve(
+            build, lambda bound: announce(banner(bound)),
+            ServiceServer.serve_forever,
+        ))
+    except KeyboardInterrupt:
+        pass
+    except OSError as error:
+        print(f"error: cannot bind {host}:{port}: {error}", file=sys.stderr)
+        return 2
+    return 0
+
+
 def run_server(
     host: str = "127.0.0.1",
     port: int = 8765,
@@ -1029,75 +1117,65 @@ def run_server(
     announce=print,
 ) -> int:
     """Blocking entry point behind ``repro serve``."""
-
-    async def main() -> None:
-        service = CountingService(
-            data_dir=data_dir, workers=workers, max_queue=max_queue,
-        )
-        server = ServiceServer(service, host=host, port=port)
-        await server.start()
-        announce(
-            f"repro service listening on http://{host}:{server.port}"
-            + (f" (persistent cache: {data_dir})" if data_dir else ""),
-        )
-        try:
-            await server.serve_forever()
-        except asyncio.CancelledError:
-            pass
-        finally:
-            await server.stop()
-
-    try:
-        asyncio.run(main())
-    except KeyboardInterrupt:
-        pass
-    except OSError as error:
-        print(f"error: cannot bind {host}:{port}: {error}", file=sys.stderr)
-        return 2
-    return 0
+    return serve_blocking(
+        lambda: [ServiceServer(
+            CountingService(data_dir=data_dir, workers=workers, max_queue=max_queue),
+            host=host, port=port,
+        )],
+        host, port,
+        lambda bound: f"repro service listening on http://{host}:{bound}"
+        + (f" (persistent cache: {data_dir})" if data_dir else ""),
+        announce,
+    )
 
 
-class BackgroundServer:
-    """Run a service in a daemon thread — the e2e tests', demo's, and
-    benchmarks' harness.  Context-manager friendly:
+class ServingThread:
+    """Serve on an asyncio loop in a daemon thread, so tests, benchmarks
+    and demos drive a real server through the blocking
+    :class:`~repro.service.client.ServiceClient`.  Context-manager
+    friendly.  Subclasses build their parts in :meth:`_build`, the last
+    one a :class:`ServiceServer`; ``port`` is its bound port once
+    :meth:`start` returns."""
 
-    >>> with BackgroundServer() as server:          # doctest: +SKIP
-    ...     client = ServiceClient(port=server.port)
-    """
+    _thread_name = "repro-service-server"
+    _what = "service"
+    _start_timeout = 30.0
+    _stop_timeout = 30.0
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0, **service_kwargs) -> None:
+    def __init__(self, host: str, port: int) -> None:
         self.host = host
         self.port = port
-        self.service: CountingService | None = None
-        self._service_kwargs = service_kwargs
         self._thread: threading.Thread | None = None
         self._ready = threading.Event()
-        self._stop_event: asyncio.Event | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
+        self._stop_event: asyncio.Event | None = None
         self._startup_error: BaseException | None = None
 
-    def start(self) -> "BackgroundServer":
+    def _build(self) -> list:
+        raise NotImplementedError
+
+    def start(self):
         self._thread = threading.Thread(
-            target=self._run, name="repro-service-server", daemon=True,
+            target=self._run, name=self._thread_name, daemon=True,
         )
         self._thread.start()
-        self._ready.wait(timeout=30.0)
+        self._ready.wait(timeout=self._start_timeout)
         if self._startup_error is not None:
             raise self._startup_error
         if not self._ready.is_set():
-            raise TimeoutError("service did not start within 30s")
+            raise TimeoutError(
+                f"{self._what} did not start within {self._start_timeout:g}s",
+            )
         return self
 
     def stop(self) -> None:
         if self._loop is not None and self._stop_event is not None:
             self._loop.call_soon_threadsafe(self._stop_event.set)
         if self._thread is not None:
-            self._thread.join(timeout=30.0)
+            self._thread.join(timeout=self._stop_timeout)
             self._thread = None
-        if self.service is not None:
-            self.service.restore_default_engine()
 
-    def __enter__(self) -> "BackgroundServer":
+    def __enter__(self):
         return self.start()
 
     def __exit__(self, *exc_info) -> None:
@@ -1113,19 +1191,28 @@ class BackgroundServer:
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
-        service = CountingService(**self._service_kwargs)
-        server = ServiceServer(service, host=self.host, port=self.port)
-        try:
-            await server.start()
-        except BaseException as error:
-            service.restore_default_engine()
-            self._startup_error = error
-            self._ready.set()
-            return
-        self.service = service
-        self.port = server.port
+        await _serve(
+            self._build, self._started, lambda _: self._stop_event.wait(),
+        )
+
+    def _started(self, port: int) -> None:
+        self.port = port
         self._ready.set()
-        try:
-            await self._stop_event.wait()
-        finally:
-            await server.stop()
+
+
+class BackgroundServer(ServingThread):
+    """Run a :class:`CountingService` in a daemon thread — the e2e
+    tests', demo's, and benchmarks' harness:
+
+    >>> with BackgroundServer() as server:          # doctest: +SKIP
+    ...     client = ServiceClient(port=server.port)
+    """
+
+    def __init__(self, host: str = "127.0.0.1", port: int = 0, **service_kwargs) -> None:
+        super().__init__(host, port)
+        self.service: CountingService | None = None
+        self._service_kwargs = service_kwargs
+
+    def _build(self) -> list:
+        self.service = CountingService(**self._service_kwargs)
+        return [ServiceServer(self.service, host=self.host, port=self.port)]

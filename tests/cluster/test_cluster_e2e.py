@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.api import HomCountTask
 from repro.cluster import Cluster, ClusterRouter
 from repro.graphs import (
     cycle_graph,
@@ -21,7 +22,9 @@ from repro.graphs import (
     random_graph,
 )
 from repro.homs import count_homomorphisms_brute
+from repro.obs import registry as metrics_registry
 from repro.service.client import ServiceClient
+from repro.service.server import CountingService
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +110,20 @@ class TestClusterServing:
             client.target_update("no-such-dataset", add_edges=[(0, 1)])
         assert len(cluster.router.state.entries) == log_before
 
+    def test_verb_and_task_with_one_body_reach_one_worker(self, client):
+        """The router places a request by its task, not its route: a
+        ``/task`` request lands on the worker whose count cache the
+        ``/count`` with the same body just warmed."""
+        client.register_graph("placement", random_graph(10, 0.4, seed=31))
+        patterns = [path_graph(n) for n in range(2, 6)] + [
+            cycle_graph(n) for n in range(3, 7)
+        ]
+        for pattern in patterns:
+            counted = client.count(pattern, "placement")
+            result = client.run_task(HomCountTask(pattern, "placement"))
+            assert result["value"] == counted["count"]
+            assert result["cached"] is True
+
     def test_single_flight_coalesces_stampede(self, client, cluster):
         """A stampede of identical cold requests leaves the router as a
         single worker request: the router's coalesced counter moves."""
@@ -163,6 +180,51 @@ class TestRouterAggregation:
             router.close()
         assert status == 503
         assert payload["code"] == "cluster-unavailable"
+
+    def test_unknown_paths_count_under_one_label(self):
+        """Probing random paths must not grow the router's request
+        counts or metric labels without bound."""
+        import asyncio
+
+        router = ClusterRouter()
+        paths = [f"/no-such-route-{i}" for i in range(3)]
+
+        async def probe():
+            return [await router.handle("GET", path, {}) for path in paths]
+
+        try:
+            replies = asyncio.run(probe())
+        finally:
+            router.close()
+        assert [reply[1]["code"] for reply in replies] == ["unknown-route"] * 3
+        assert router.request_counts == {"<unknown>": 3}
+        text = metrics_registry().render_prometheus()
+        assert not any(f'route="{path}"' in text for path in paths)
+        assert 'repro_router_requests_total{route="<unknown>"}' in text
+
+    def test_metrics_rejects_unknown_format_like_a_worker(self):
+        import asyncio
+
+        router = ClusterRouter()
+        service = CountingService(workers=1, install_default_engine=False)
+        try:
+            routed = asyncio.run(
+                router.handle("GET", "/metrics", {"format": "bogus"}),
+            )
+            direct = asyncio.run(
+                service.handle("GET", "/metrics", {"format": "bogus"}),
+            )
+        finally:
+            router.close()
+            service.close()
+        for status, payload, trace_id in (routed, direct):
+            assert status == 400
+            assert payload == {
+                "kind": "error",
+                "error": "unknown metrics format 'bogus'",
+                "code": "bad-request",
+                "trace_id": trace_id,
+            }
 
 
 class TestChaos:

@@ -80,11 +80,10 @@ class TestRingProperties:
     @given(nodes=node_names)
     @settings(max_examples=30, deadline=None)
     def test_balance_within_bounds(self, nodes):
-        """No node owns a pathological share of the keyspace: with 64
-        vnodes each, every node stays within 4x of the fair share (the
-        gate that matters operationally — no worker melts while the rest
-        idle)."""
-        ring = HashRing(nodes, replicas=64)
+        """No node owns a pathological share of the keyspace: every node
+        stays within 4x of the fair share (the gate that matters
+        operationally — no worker melts while the rest idle)."""
+        ring = HashRing(nodes)
         sample = keys(1000)
         counts = ring.ownership(sample)
         fair = len(sample) / len(nodes)

@@ -17,10 +17,12 @@ from repro.api import HomCountTask
 from repro.graphs import cycle_graph, path_graph, random_graph
 from repro.graphs.io import to_graph6
 from repro.homs.brute_force import count_homomorphisms_brute
+from repro.kg import kg_query_from_triples
 from repro.queries.answers import count_answers
 from repro.queries.parser import parse_query
-from repro.service.server import CountingService
-from repro.service.wire import task_to_wire
+from repro.service.server import CountingService, task_body
+from repro.service.wire import kg_query_to_spec, task_from_wire, task_to_wire
+from repro.utils import stable_key_digest
 
 
 def run_held(datasets: dict, requests: list[tuple[str, dict]]):
@@ -112,3 +114,27 @@ class TestOneRequestPath:
                 assert reply["count"] == answers
             else:
                 assert reply["count"] == homs
+
+
+class TestTaskBody:
+    """``task_body`` is the task a request stands for: the service keys
+    its scheduler on it and the cluster router places by its digest."""
+
+    def test_verb_and_task_bodies_share_one_digest(self):
+        body = task_to_wire(HomCountTask(cycle_graph(4), "hosts"))
+        bare = {key: value for key, value in body.items() if key != "task"}
+        digests = {
+            stable_key_digest(task_body(path, request))
+            for path, request in (
+                ("/task", body), ("/count", body), ("/count", bare),
+            )
+        }
+        assert len(digests) == 1
+
+    def test_count_answers_with_kg_query_is_a_kg_task(self):
+        kg_query = kg_query_to_spec(kg_query_from_triples([("x", "r", "y")], ["x"]))
+        kg_body = task_body("/count-answers", {"kg_query": kg_query, "target": "kg"})
+        assert kg_body["task"] == "kg-answer-count"
+        assert task_from_wire(kg_body).kind == "kg-answer-count"
+        cq_body = task_body("/count-answers", {"query": "q(x) :- E(x, y)", "target": "g"})
+        assert task_from_wire(cq_body).kind == "answer-count"

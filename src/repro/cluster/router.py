@@ -29,6 +29,10 @@ splits traffic three ways:
   ``/subscriptions``); ``/metrics`` serves the router process's own
   registry (``repro_router_*`` families).
 
+Every call to a worker goes through :func:`http_call` on the router's
+idle keep-alive connections to that worker, so a routed request sets up
+no connection; demoting the worker, or stopping, closes them.
+
 Health aggregation (the ``repro health`` contract): the router reports
 *degraded* as soon as any worker is failing or unreachable, and *failing*
 when a quorum (majority) of workers is lost.
@@ -82,34 +86,67 @@ async def http_call(
     body: dict | None = None,
     timeout: float = 30.0,
     trace_id: str | None = None,
+    pool: list | None = None,
 ) -> tuple[int, dict | str]:
-    """One HTTP/1.1 request over a fresh connection (the service answers
-    ``Connection: close``).  Returns ``(status, decoded payload)``; any
-    transport failure raises ``OSError``/``IncompleteReadError``."""
+    """One HTTP/1.1 request on a kept-alive connection to ``host:port``.
 
-    async def call() -> tuple[int, dict | str]:
-        reader, writer = await asyncio.open_connection(host, port)
+    ``pool`` holds the idle ``(reader, writer)`` connections to that
+    endpoint: the call takes one, or opens a fresh one, and puts it back
+    after a complete response that did not say ``Connection: close``; a
+    failed or cancelled call closes it.  A reused connection the peer
+    closed before answering is retried once on a fresh one, so only a
+    fresh connection's failure reaches the caller.  Without a pool the
+    call runs on an empty pool that is then discarded.  Returns
+    ``(status, decoded payload)``; any transport failure raises
+    ``OSError``/``IncompleteReadError``."""
+    request = encode_message(
+        f"{method} {path} HTTP/1.1", body, trace_id, host=f"{host}:{port}",
+    )
+    idle = [] if pool is None else pool
+
+    async def exchange(reader, writer) -> tuple[int, dict | str]:
         try:
-            writer.write(encode_message(
-                f"{method} {path} HTTP/1.1", body, trace_id,
-                host=f"{host}:{port}",
-            ))
+            writer.write(request)
             await writer.drain()
-            fields, headers, raw = await read_message(reader)
+            message = await read_message(reader)
+            if message is None:
+                raise ConnectionResetError(
+                    f"{host}:{port} closed the connection without answering",
+                )
+            fields, headers, raw = message
             if len(fields) < 2 or not fields[1].isdigit():
                 raise ConnectionError(f"malformed status line {fields!r}")
-            status = int(fields[1])
-            if headers.get("content-type", "").startswith("application/json"):
-                return status, json.loads(raw) if raw else {}
-            return status, raw.decode("utf-8", "replace")
-        finally:
+        except BaseException:
             writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            raise
+        if "close" in headers.get("connection", "").lower():
+            writer.close()
+        else:
+            idle.append((reader, writer))
+        status = int(fields[1])
+        if headers.get("content-type", "").startswith("application/json"):
+            return status, json.loads(raw) if raw else {}
+        return status, raw.decode("utf-8", "replace")
 
-    return await asyncio.wait_for(call(), timeout=timeout)
+    async def call() -> tuple[int, dict | str]:
+        if idle:
+            try:
+                return await exchange(*idle.pop())
+            except (ConnectionResetError, BrokenPipeError):
+                pass  # closed while idle: the fresh connection decides
+        return await exchange(*await asyncio.open_connection(host, port))
+
+    try:
+        return await asyncio.wait_for(call(), timeout=timeout)
+    finally:
+        if pool is None:
+            _close_idle(idle)
+
+
+def _close_idle(pool: list) -> None:
+    """Close every idle connection in ``pool`` and empty it."""
+    while pool:
+        pool.pop()[1].close()
 
 
 class ClusterRouter:
@@ -118,9 +155,9 @@ class ClusterRouter:
     Workers join through :meth:`admit_worker` (which replays the
     replication log first, so a respawned process arrives at the
     committed dataset state before taking traffic) and leave through
-    :meth:`demote_worker` — called on any transport failure, because on
-    loopback a failed connection means the process died; the supervisor
-    confirms, respawns, and re-admits.
+    :meth:`demote_worker` — called on any transport failure of a fresh
+    connection, because on loopback that means the process died; the
+    supervisor confirms, respawns, and re-admits.
     """
 
     def __init__(
@@ -134,6 +171,9 @@ class ClusterRouter:
         self.on_suspect = None
         #: worker id -> (host, port); only admitted (replayed) workers.
         self._workers: dict[str, tuple[str, int]] = {}
+        #: (host, port) -> idle keep-alive connections to that worker,
+        #: as many as its peak of concurrent calls.
+        self._idle: dict[tuple[str, int], list] = {}
         self._membership = asyncio.Event()
         self._mutate_lock = asyncio.Lock()
         self._inflight: dict[tuple[str, str], asyncio.Future] = {}
@@ -170,6 +210,8 @@ class ClusterRouter:
         pass
 
     async def stop(self) -> None:
+        for pool in self._idle.values():
+            _close_idle(pool)
         self.close()
 
     # ------------------------------------------------------------------
@@ -230,8 +272,9 @@ class ClusterRouter:
         """
         if worker_id not in self._workers:
             return
-        del self._workers[worker_id]
+        endpoint = self._workers.pop(worker_id)
         self.ring.remove(worker_id)
+        _close_idle(self._idle.get(endpoint, []))
         if not self._workers:
             self._membership.clear()
         log_event(
@@ -370,6 +413,7 @@ class ClusterRouter:
                         endpoint[0], endpoint[1], "POST", path, body,
                         timeout=max(0.05, deadline - loop.time()),
                         trace_id=trace_id,
+                        pool=self._idle.setdefault(endpoint, []),
                     ))
                     pending[task] = worker_id
                 if not pending:
@@ -448,6 +492,7 @@ class ClusterRouter:
                     status, payload = await http_call(
                         endpoint[0], endpoint[1], "POST", path, body,
                         timeout=self.request_timeout, trace_id=trace_id,
+                        pool=self._idle.setdefault(endpoint, []),
                     )
                 except (OSError, asyncio.IncompleteReadError,
                         asyncio.TimeoutError, ValueError) as error:
@@ -488,7 +533,10 @@ class ClusterRouter:
         """One probe per admitted worker; ``None`` marks unreachable."""
         ids = self.worker_ids
         results = await asyncio.gather(*[
-            http_call(*self._workers[wid], method, path, timeout=10.0)
+            http_call(
+                *self._workers[wid], method, path, timeout=10.0,
+                pool=self._idle.setdefault(self._workers[wid], []),
+            )
             for wid in ids if wid in self._workers
         ], return_exceptions=True)
         verdicts: dict[str, tuple[int, dict | str] | None] = {}
@@ -652,7 +700,7 @@ class ClusterRouter:
                 return await http_call(
                     endpoint[0], endpoint[1], method, path,
                     body or None, timeout=self.request_timeout,
-                    trace_id=trace_id,
+                    trace_id=trace_id, pool=self._idle.setdefault(endpoint, []),
                 )
             except (OSError, asyncio.IncompleteReadError,
                     asyncio.TimeoutError, ValueError) as error:

@@ -1,7 +1,8 @@
 """A stdlib Python client for the counting service.
 
-Wraps ``http.client`` (blocking, connection-per-request — the server
-answers ``Connection: close``) around the wire format of
+Wraps ``http.client`` (blocking, keep-alive: each call reuses one of the
+client's idle connections or opens one, so threads sharing a client
+never share a connection) around the wire format of
 :mod:`repro.service.wire`.  Every counting call constructs the canonical
 :mod:`repro.api.tasks` spec and sends its exact wire payload, so the
 client, the CLI, and the server all speak one encoding; rich objects
@@ -60,6 +61,18 @@ class ServiceClient:
         #: Trace id of the most recent response (the server's
         #: ``X-Repro-Trace`` header), for correlating with ``/traces``.
         self.last_trace_id: str | None = None
+        # Idle keep-alive connections.  A call pops one (list.pop and
+        # append are atomic, so threads never share a connection) and
+        # puts it back after a complete response.
+        self._idle: list[http.client.HTTPConnection] = []
+
+    def close(self) -> None:
+        """Close the idle connections; a later call opens a fresh one.
+        A client that is dropped closes them too."""
+        while self._idle:
+            self._idle.pop().close()
+
+    __del__ = close
 
     # ------------------------------------------------------------------
     # transport
@@ -67,29 +80,45 @@ class ServiceClient:
     def _request_raw(
         self, method: str, path: str, payload: dict | None = None,
     ) -> tuple[int, bytes]:
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout,
-        )
+        body = json.dumps(payload).encode("utf-8") if payload is not None else None
+        headers = {"Content-Type": "application/json"} if body else {}
+        trace_id = current_trace_id()
+        if trace_id is not None:
+            # Propagate the caller's trace: the server's root span
+            # adopts this id, so one trace follows the request across
+            # the wire (client span tree + server /traces entries).
+            headers["X-Repro-Trace"] = trace_id
         try:
-            body = json.dumps(payload).encode("utf-8") if payload is not None else None
-            headers = {"Content-Type": "application/json"} if body else {}
-            trace_id = current_trace_id()
-            if trace_id is not None:
-                # Propagate the caller's trace: the server's root span
-                # adopts this id, so one trace follows the request across
-                # the wire (client span tree + server /traces entries).
-                headers["X-Repro-Trace"] = trace_id
-            connection.request(method, path, body=body, headers=headers)
-            response = connection.getresponse()
+            connection = self._idle.pop()
+        except IndexError:
+            connection = http.client.HTTPConnection(
+                self.host, self.port, timeout=self.timeout,
+            )
+        reused = connection.sock is not None
+        try:
+            while True:
+                try:
+                    connection.request(method, path, body=body, headers=headers)
+                    response = connection.getresponse()
+                    break
+                except (ConnectionResetError, BrokenPipeError):
+                    # RemoteDisconnected included.  On a reused connection
+                    # this is the server closing it while idle (a stop or
+                    # restart) before any response byte: the request was
+                    # not processed, so one fresh connection decides.
+                    if not reused:
+                        raise
+                    connection.close()
+                    reused = False
             data = response.read()
             status = response.status
             self.last_trace_id = response.getheader("X-Repro-Trace")
         except (OSError, http.client.HTTPException) as error:
+            connection.close()
             raise ServiceError(
                 f"cannot reach service at {self.host}:{self.port}: {error}",
             ) from error
-        finally:
-            connection.close()
+        self._idle.append(connection)
         return status, data
 
     def request(self, method: str, path: str, payload: dict | None = None) -> dict:

@@ -3,8 +3,8 @@
 Layers (top to bottom):
 
 * :class:`ServiceServer` — a minimal HTTP/1.1 loop on
-  ``asyncio.start_server`` (stdlib only: one request per connection,
-  ``Content-Length`` bodies, JSON or Prometheus text, close) around any
+  ``asyncio.start_server`` (stdlib only: keep-alive connections,
+  ``Content-Length`` bodies, JSON or Prometheus text) around any
   object with ``handle`` and ``start()``/``stop()``: a
   :class:`CountingService`, or the cluster's
   :class:`~repro.cluster.router.ClusterRouter`.  The two framing helpers,
@@ -149,6 +149,9 @@ from repro.service.wire import (
 )
 
 _MAX_BODY = 32 * 1024 * 1024
+#: Once a request line has arrived, its headers and body must follow
+#: within this many seconds.  Idle time between requests is unbounded.
+_READ_TIMEOUT_S = 30.0
 
 _log = get_logger("server")
 
@@ -941,10 +944,11 @@ def encode_message(
     payload: dict | str | None,
     trace_id: str | None = None,
     host: str | None = None,
+    close: bool = False,
 ) -> bytes:
     """One HTTP/1.1 message, request or response: a dict travels as
-    JSON (``None`` as an empty JSON body), a string as Prometheus text,
-    and every message says ``Connection: close``."""
+    JSON (``None`` as an empty JSON body), a string as Prometheus text.
+    The connection stays open for the next message unless ``close``."""
     if isinstance(payload, str):
         data = payload.encode("utf-8")
         content_type = "text/plain; version=0.0.4; charset=utf-8"
@@ -959,28 +963,54 @@ def encode_message(
         f"Content-Type: {content_type}\r\n"
         f"Content-Length: {len(data)}\r\n"
         f"{trace_header}"
-        "Connection: close\r\n\r\n"
+        f"Connection: {'close' if close else 'keep-alive'}\r\n\r\n"
     ).encode("ascii") + data
 
 
 async def read_message(
-    reader: asyncio.StreamReader, max_body: int | None = None,
-) -> tuple[list[str], dict[str, str], bytes | None]:
+    reader: asyncio.StreamReader,
+    max_body: int | None = None,
+    timeout: float | None = None,
+) -> tuple[list[str], dict[str, str], bytes] | None:
     """Read one HTTP/1.1 message: the fields of its start line, its
-    headers (names lower-cased) and its ``Content-Length`` body.  A body
-    longer than ``max_body`` is left unread and returned as ``None``."""
-    fields = (await reader.readline()).decode("ascii", "replace").split()
+    headers (names lower-cased) and its ``Content-Length`` body, or
+    ``None`` when the stream ends before a start line.
+
+    Once the start line has arrived, the rest must follow within
+    ``timeout`` seconds (else ``asyncio.TimeoutError``); a stream that
+    ends inside the message raises ``asyncio.IncompleteReadError``.  A
+    message whose end cannot be found — any ``Transfer-Encoding``, a
+    ``Content-Length`` that is not a number — or whose body is longer
+    than ``max_body`` (left unread) raises ``ValueError``: the stream
+    then carries no further message."""
+    start = await reader.readline()
+    if not start:
+        return None
+    headers, body = await asyncio.wait_for(
+        _read_headers_and_body(reader, max_body), timeout,
+    )
+    return start.decode("ascii", "replace").split(), headers, body
+
+
+async def _read_headers_and_body(
+    reader: asyncio.StreamReader, max_body: int | None,
+) -> tuple[dict[str, str], bytes]:
     headers: dict[str, str] = {}
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
+    while (line := await reader.readline()) not in (b"\r\n", b"\n"):
+        if not line.endswith(b"\n"):
+            raise asyncio.IncompleteReadError(line, None)
         name, _, value = line.decode("ascii", "replace").partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
-    if max_body is not None and length > max_body:
-        return fields, headers, None
-    return fields, headers, (await reader.readexactly(length) if length else b"")
+    if "transfer-encoding" in headers:
+        raise ValueError(
+            "chunked request bodies are not supported; send Content-Length",
+        )
+    length = headers.get("content-length", "0")
+    if not length.isdigit():
+        raise ValueError(f"bad Content-Length {length!r}")
+    if max_body is not None and int(length) > max_body:
+        raise ValueError("request body too large")
+    return headers, await reader.readexactly(int(length))
 
 
 class ServiceServer:
@@ -990,6 +1020,12 @@ class ServiceServer:
     :class:`~repro.cluster.router.ClusterRouter` — answers
     ``handle(method, path, body, client_trace)`` and has ``start()`` and
     ``stop()`` coroutines, awaited before listening and after closing.
+
+    A connection carries requests one after another until the client
+    closes it or asks to (``Connection: close``, or HTTP/1.0), or a
+    request's framing breaks (answered 400, then closed).  :meth:`stop`
+    closes idle connections at once and answering ones after their
+    response.
     """
 
     def __init__(self, service, host: str = "127.0.0.1", port: int = 0) -> None:
@@ -997,6 +1033,11 @@ class ServiceServer:
         self.host = host
         self.port = port
         self._server: asyncio.base_events.Server | None = None
+        #: Open connections, each with the task serving it.
+        self._connections: dict[asyncio.StreamWriter, asyncio.Task] = {}
+        #: Connections whose request is read and not yet answered.
+        self._answering: set[asyncio.StreamWriter] = set()
+        self._closing = False
 
     async def start(self) -> None:
         await self.service.start()
@@ -1008,6 +1049,12 @@ class ServiceServer:
     async def stop(self) -> None:
         if self._server is not None:
             self._server.close()
+            self._closing = True
+            for writer in self._connections.keys() - self._answering:
+                writer.close()
+            await asyncio.gather(
+                *self._connections.values(), return_exceptions=True,
+            )
             await self._server.wait_closed()
             self._server = None
         await self.service.stop()
@@ -1022,31 +1069,52 @@ class ServiceServer:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
+        self._connections[writer] = asyncio.current_task()
         try:
-            status, payload, trace_id = await self._handle_request(reader)
-            reason = _REASONS.get(status, "Internal Server Error")
-            writer.write(
-                encode_message(f"HTTP/1.1 {status} {reason}", payload, trace_id),
-            )
-            await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
+            while not self._closing:
+                try:
+                    message = await read_message(reader, _MAX_BODY, _READ_TIMEOUT_S)
+                except ValueError as error:  # the request's end cannot be found
+                    status, payload, trace_id = 400, _bad_request(str(error)), None
+                    close = True
+                else:
+                    if message is None:
+                        break
+                    self._answering.add(writer)
+                    status, payload, trace_id = await self._handle_request(*message)
+                    fields, headers, _ = message
+                    # HTTP/1.1 keeps the connection unless asked to close;
+                    # a malformed request line carries no version.
+                    close = (
+                        fields[2:] != ["HTTP/1.1"]
+                        or "close" in headers.get("connection", "").lower()
+                    )
+                close = close or self._closing
+                reason = _REASONS.get(status, "Internal Server Error")
+                writer.write(encode_message(
+                    f"HTTP/1.1 {status} {reason}", payload, trace_id, close=close,
+                ))
+                await writer.drain()
+                self._answering.discard(writer)
+                if close:
+                    break
+        except (ConnectionError, asyncio.IncompleteReadError, asyncio.TimeoutError):
+            pass  # the client left, or stalled inside a request: no answer
         finally:
+            self._answering.discard(writer)
             writer.close()
             try:
                 await writer.wait_closed()
             except ConnectionError:
                 pass
+            del self._connections[writer]
 
     async def _handle_request(
-        self, reader: asyncio.StreamReader,
+        self, fields: list[str], headers: dict[str, str], raw: bytes,
     ) -> tuple[int, dict | str, str | None]:
         try:
-            fields, headers, raw = await read_message(reader, max_body=_MAX_BODY)
             if len(fields) < 2:
                 return 400, _bad_request("malformed request line"), None
-            if raw is None:
-                return 400, _bad_request("request body too large"), None
             method, (path, _, query) = fields[0], fields[1].partition("?")
             body = json.loads(raw) if raw else {}
             if not isinstance(body, dict):

@@ -8,6 +8,7 @@ failures with every value exact — worker death must cost latency only.
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 
@@ -151,6 +152,35 @@ class TestClusterServing:
         assert len(values) == 1
         metrics = cluster.router.request_counts
         assert metrics.get("/count", 0) >= 1
+
+
+    def test_quiet_run_demotes_no_worker(self, client, cluster):
+        """Pooled router→worker connections never look like a dead
+        worker: 200 routed counts with no kills demote nobody and retry
+        nothing."""
+        host = random_graph(10, 0.4, seed=41)
+        client.register_graph("quiet", host)
+        patterns = [path_graph(n) for n in (2, 3, 4)] + [
+            cycle_graph(n) for n in (3, 4)
+        ]
+        expected = [count_homomorphisms_brute(p, host) for p in patterns]
+        events: list[str] = []
+        handler = logging.Handler()
+        handler.emit = lambda record: events.append(record.getMessage())
+        router_log = logging.getLogger("repro.cluster.router")
+        router_log.addHandler(handler)
+        retries = cluster.router._retries_total.value
+        try:
+            counts = [
+                client.count(patterns[i % len(patterns)], "quiet")["count"]
+                for i in range(200)
+            ]
+        finally:
+            router_log.removeHandler(handler)
+        assert counts == [expected[i % len(patterns)] for i in range(200)]
+        assert "worker-demoted" not in events
+        assert cluster.router._retries_total.value == retries
+        assert cluster.router.worker_ids == ["w0", "w1"]
 
 
 class TestRouterAggregation:

@@ -3,8 +3,8 @@
 The server parses requests and the cluster router's ``http_call`` reads
 responses with the same two helpers (``read_message`` and
 ``encode_message``), so these tests pin the bytes both sides rely on:
-the 400s of malformed requests, query-string options, and the headers
-every response carries.
+the 400s of malformed requests, query-string options, the headers
+every response carries, and when a kept-alive connection closes.
 """
 
 from __future__ import annotations
@@ -12,12 +12,14 @@ from __future__ import annotations
 import asyncio
 import json
 import socket
+import time
 
 import pytest
 
 from repro.cluster.router import http_call
 from repro.engine import set_default_engine
 from repro.service import BackgroundServer
+from repro.service import server as server_module
 
 
 @pytest.fixture(autouse=True)
@@ -51,10 +53,21 @@ def exchange(port: int, data: bytes) -> tuple[int, dict[str, str], bytes]:
     return int(status_line.split()[1]), headers, body
 
 
+def read_response(stream) -> tuple[int, dict[str, str], bytes]:
+    """One response from a socket file, read by its ``Content-Length``."""
+    status_line = stream.readline().decode("ascii")
+    headers = {}
+    while (line := stream.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("ascii").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = stream.read(int(headers["content-length"]))
+    return int(status_line.split()[1]), headers, body
+
+
 def request(method: str, target: str, body: bytes = b"") -> bytes:
     return (
         f"{method} {target} HTTP/1.1\r\nHost: localhost\r\n"
-        f"Content-Length: {len(body)}\r\n\r\n"
+        f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n"
     ).encode("ascii") + body
 
 
@@ -88,6 +101,60 @@ class TestMalformedRequests:
         status, _, body = exchange(port, head)  # no body bytes follow
         assert status == 400
         assert error_of(body) == "request body too large"
+
+
+class TestConnectionLifetime:
+    """A connection carries requests until the client closes it or asks
+    to; broken framing closes it unasked (as the malformed-line and
+    oversized-body cases above, which send no ``Connection`` header)."""
+
+    def test_two_requests_share_one_connection(self, port):
+        keep_alive = b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n"
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+            stream = sock.makefile("rb")
+            for _ in range(2):
+                sock.sendall(keep_alive)
+                status, headers, body = read_response(stream)
+                assert status == 200
+                assert headers["connection"] == "keep-alive"
+                assert json.loads(body)["kind"] == "healthz"
+
+    def test_http_1_0_request_is_answered_then_closed(self, port):
+        status, _, body = exchange(port, b"GET /healthz HTTP/1.0\r\n\r\n")
+        assert status == 200
+        assert json.loads(body)["kind"] == "healthz"
+
+    def test_bad_content_length_closes(self, port):
+        status, _, body = exchange(
+            port, b"POST /count HTTP/1.1\r\nContent-Length: 2x\r\n\r\n{}",
+        )
+        assert status == 400
+        assert error_of(body) == "bad Content-Length '2x'"
+
+    def test_chunked_body_is_rejected_and_closed(self, port):
+        chunked = (
+            b"POST /count HTTP/1.1\r\nHost: localhost\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            b"2\r\n{}\r\n0\r\n\r\n"
+        )
+        status, _, body = exchange(port, chunked)
+        assert status == 400
+        assert error_of(body) == (
+            "chunked request bodies are not supported; send Content-Length"
+        )
+
+    def test_end_of_stream_before_a_request_is_a_clean_close(self, port):
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+            sock.shutdown(socket.SHUT_WR)
+            assert sock.recv(65536) == b""  # no 400 for a request never sent
+
+    def test_stalled_request_is_closed_unanswered(self, port, monkeypatch):
+        monkeypatch.setattr(server_module, "_READ_TIMEOUT_S", 0.2)
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(b"POST /count HTTP/1.1\r\nContent-Length: 10\r\n\r\n{")
+            started = time.monotonic()
+            assert sock.recv(65536) == b""
+            assert time.monotonic() - started < 3
 
 
 class TestRoutedResponses:

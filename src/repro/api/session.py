@@ -99,40 +99,23 @@ class Session:
         Keywords are the wire update fields: ``add_edges`` /
         ``remove_edges`` / ``add_vertices`` / ``remove_vertices`` for
         graph datasets, ``add_vertices`` / ``add_triples`` /
-        ``remove_triples`` for KGs.  Returns the new version number.
+        ``remove_triples`` for KGs; a non-empty field the dataset's kind
+        does not take raises ``WireError``.  Returns the new version
+        number.
         """
         client = getattr(self.executor, "client", None)
         if client is not None:
             return client.target_update(name, **updates)["version"]
         if self.registry is None:
             raise TaskError("executor has no registry to update datasets in")
-        dataset = self.registry.get(name)
-        if dataset.kind == "kg":
-            kg_updates = {
-                key: updates.pop(key, ())
-                for key in ("add_vertices", "add_triples", "remove_triples")
-            }
-            if any(updates.values()):
-                raise TaskError(
-                    f"KG datasets take triple updates, got {sorted(updates)}",
-                )
-            _, version = self.registry.update_kg(name, **kg_updates)
-            return version.version
-        graph_updates = {
-            key: updates.pop(key, ())
-            for key in (
-                "add_vertices", "add_edges", "remove_edges", "remove_vertices",
-            )
-        }
-        if any(updates.values()):
-            raise TaskError(
-                f"graph datasets take edge/vertex updates, got {sorted(updates)}",
-            )
-        from repro.dynamic.graph import UpdateBatch
+        from repro.service.wire import update_from_spec
 
-        _, record = self.registry.update_graph(
-            name, UpdateBatch.build(**graph_updates),
-        )
+        kind = self.registry.get(name).kind
+        update = update_from_spec(kind, updates)
+        if kind == "kg":
+            _, record = self.registry.update_kg(name, **update)
+        else:
+            _, record = self.registry.update_graph(name, update)
         return record.version
 
     # ------------------------------------------------------------------

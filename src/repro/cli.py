@@ -863,7 +863,6 @@ def _render_top(
     lines.append(
         "scheduler   "
         f"workers {workers.get('alive', '?')}/{workers.get('configured', '?')}"
-        f"  restarts {sched.get('worker_restarts', 0)}"
         f"  executed {sched.get('executed', 0)}"
         f"  failed {sched.get('failed', 0)}"
         f"  coalesce {sched.get('coalesce_rate', 0.0):.0%}"

@@ -41,6 +41,7 @@ from itertools import product
 from typing import Sequence
 
 from repro.graphs.indexed import IndexedGraph
+from repro.homs.brute_force import search_order
 
 # 2^MAX_DELTA_EDGES subsets are enumerated at compile time; larger
 # patterns always fall back to full recompute (they are rare as counting
@@ -116,29 +117,6 @@ def _proper_two_colourings(vertices: set, edges: Sequence[tuple[int, int]]):
     return colourings
 
 
-def _pinned_search_order(
-    adjacency: Sequence[Sequence[int]], assigned: set[int], n: int,
-) -> list[int]:
-    """Search order over the free vertices: stay connected to the
-    assigned region, fail-first on high degree (mirrors the brute-force
-    backtracker's order, minus the label boundary)."""
-    remaining = {v for v in range(n) if v not in assigned}
-    frontier = {
-        v: sum(1 for u in adjacency[v] if u in assigned) for v in remaining
-    }
-    order: list[int] = []
-    while remaining:
-        vertex = max(
-            remaining, key=lambda v: (frontier[v], len(adjacency[v]), v),
-        )
-        order.append(vertex)
-        remaining.remove(vertex)
-        for u in adjacency[vertex]:
-            if u in remaining:
-                frontier[u] += 1
-    return order
-
-
 def compile_delta_plan(pattern: IndexedGraph) -> DeltaPlan | None:
     """Compile the inclusion–exclusion terms for a *connected* pattern.
 
@@ -178,7 +156,7 @@ def compile_delta_plan(pattern: IndexedGraph) -> DeltaPlan | None:
             for u in adjacency[vertex]
         ):
             continue
-        order = _pinned_search_order(adjacency, set(assignment), pattern.n)
+        order = search_order(adjacency, set(assignment))
         placed: dict[int, int] = {}
         pinned: list[tuple[tuple[int, int], ...]] = []
         for position, vertex in enumerate(order):

@@ -18,20 +18,21 @@ cannot collide, unlike the ``repr``-sort the seed used.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from repro.graphs.graph import Graph, Vertex
-from repro.graphs.indexed import IndexedGraph
 
 Assignment = dict[Vertex, Vertex]
 
 
-def _search_order(pattern: IndexedGraph, assigned: set[int]) -> list[int]:
-    """Order unassigned pattern indices for search: stay connected to the
-    assigned region, preferring high-degree vertices (fail-first); ties
-    break on the index itself (labels never enter the comparison)."""
-    adjacency = pattern.adjacency_lists()
-    remaining = [v for v in range(pattern.n) if v not in assigned]
+def search_order(
+    adjacency: Sequence[Sequence[int]], assigned: set[int],
+) -> list[int]:
+    """Order the unassigned vertices of a pattern, given by its index
+    adjacency lists, for search: stay connected to the assigned region,
+    preferring high-degree vertices (fail-first); ties break on the index
+    itself (labels never enter the comparison)."""
+    remaining = [v for v in range(len(adjacency)) if v not in assigned]
     frontier_scores = {
         v: sum(1 for u in adjacency[v] if u in assigned) for v in remaining
     }
@@ -104,7 +105,7 @@ def _prepare(
                 return None
 
     full_pool = (1 << indexed_target.n) - 1
-    order = _search_order(indexed_pattern, set(fixed_indices))
+    order = search_order(pattern_adjacency, set(fixed_indices))
     pools = [full_pool] * len(order)
     if allowed is not None:
         for label, pool in allowed.items():

@@ -4,16 +4,19 @@ The service's unit of work is a *keyed job*: a canonical request key plus
 a zero-argument callable producing the answer.  The scheduler guarantees
 
 * **coalescing** — identical in-flight requests share one computation:
-  the second ``submit`` of a key awaits the first key's future instead of
-  enqueueing new work (heavy traffic on a hot (pattern, target) pair costs
+  the second ``submit`` of a key awaits the first key's job instead of
+  starting new work (heavy traffic on a hot (pattern, target) pair costs
   one count, not N);
-* **bounded queueing** — ``submit`` applies backpressure once ``max_queue``
-  jobs are waiting (the HTTP handler simply awaits; clients see latency,
-  the process never sees an unbounded queue);
-* **limited concurrency** — ``workers`` asyncio consumers execute jobs on
-  a thread pool of the same size, so at most ``workers`` counts run at
-  once and the engine's lock-guarded caches are shared safely.
+* **bounded queueing** — at most ``max_queue`` jobs wait for a worker;
+  later jobs wait for a queue slot (the HTTP handler simply awaits;
+  clients see latency, the process never sees an unbounded queue);
+* **limited concurrency** — jobs run on a thread pool of ``workers``
+  threads, at most ``workers`` at once, so the engine's lock-guarded
+  caches are shared safely.
 
+A job is one asyncio task, shared by every waiter of its key: it takes a
+queue slot, trades it for a worker slot (both are semaphores on the event
+loop), and runs its callable on the pool through ``run_in_executor``.
 Everything is stdlib asyncio; the scheduler owns its executor and is
 started/stopped with the server.
 """
@@ -21,7 +24,6 @@ started/stopped with the server.
 from __future__ import annotations
 
 import asyncio
-import contextvars
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -30,7 +32,7 @@ from typing import Callable
 
 from repro.errors import ServiceError
 from repro.obs import family_snapshot, get_logger, log_event, registry
-from repro.obs.trace import current_trace_id
+from repro.obs.trace import bind_current_context, current_trace_id
 
 _log = get_logger("scheduler")
 
@@ -44,7 +46,6 @@ class SchedulerStats:
     executed: int = 0
     failed: int = 0
     max_queue_depth: int = 0
-    worker_restarts: int = 0
 
     @property
     def coalesce_rate(self) -> float:
@@ -57,7 +58,6 @@ class SchedulerStats:
             "executed": self.executed,
             "failed": self.failed,
             "max_queue_depth": self.max_queue_depth,
-            "worker_restarts": self.worker_restarts,
             "coalesce_rate": round(self.coalesce_rate, 4),
         }
 
@@ -65,25 +65,18 @@ class SchedulerStats:
 class RequestScheduler:
     """A coalescing, bounded, concurrency-limited job scheduler."""
 
-    def __init__(
-        self,
-        workers: int = 4,
-        max_queue: int = 256,
-        respawn_limit: int = 3,
-    ) -> None:
+    def __init__(self, workers: int = 4, max_queue: int = 256) -> None:
         if workers < 1:
             raise ServiceError("workers must be positive")
         if max_queue < 1:
             raise ServiceError("max_queue must be positive")
-        if respawn_limit < 0:
-            raise ServiceError("respawn_limit must be non-negative")
         self.workers = workers
         self.max_queue = max_queue
-        self.respawn_limit = respawn_limit
         self.stats = SchedulerStats()
-        self._queue: asyncio.Queue | None = None
-        self._inflight: dict = {}
-        self._tasks: list[asyncio.Task] = []
+        self._inflight: dict = {}  # key -> the job's task
+        self._queued = 0  # jobs holding a queue slot, waiting for a worker
+        self._queue_slots: asyncio.Semaphore | None = None
+        self._worker_slots: asyncio.Semaphore | None = None
         self._executor: ThreadPoolExecutor | None = None
         # Shared, process-global latency families (idempotent re-lookup).
         reg = registry()
@@ -100,56 +93,36 @@ class RequestScheduler:
     # lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        if self._tasks:
+        if self._executor is not None:
             return
-        self._queue = asyncio.Queue(self.max_queue)
+        self._queue_slots = asyncio.Semaphore(self.max_queue)
+        self._worker_slots = asyncio.Semaphore(self.workers)
         self._executor = ThreadPoolExecutor(
             max_workers=self.workers,
             thread_name_prefix="repro-service",
         )
-        self._tasks = [
-            asyncio.create_task(self._supervise(slot))
-            for slot in range(self.workers)
-        ]
 
     async def stop(self) -> None:
-        for task in self._tasks:
-            task.cancel()
-        for task in self._tasks:
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-        self._tasks = []
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=True)
-            self._executor = None
-        # Jobs still queued (or whose worker died mid-flight) must not
-        # leave their waiters hanging on futures nobody will resolve.
-        if self._queue is not None:
-            while not self._queue.empty():
-                _, _, future, _, _ = self._queue.get_nowait()
-                if not future.done():
-                    future.cancel()
-        for future in self._inflight.values():
-            if not future.done():
-                future.cancel()
-        self._queue = None
+        """Cancel every queued and running job (their waiters see
+        ``CancelledError``), then wait for the pool's threads to finish
+        what they already started."""
+        executor, self._executor = self._executor, None
+        jobs = list(self._inflight.values())
+        for job in jobs:
+            job.cancel()
+        await asyncio.gather(*jobs, return_exceptions=True)
         self._inflight.clear()
+        if executor is not None:
+            executor.shutdown(wait=True, cancel_futures=True)
 
     @property
     def running(self) -> bool:
-        return bool(self._tasks)
+        return self._executor is not None
 
     @property
     def workers_alive(self) -> int:
-        """Worker slots whose supervisor task is still running.
-
-        A supervisor only finishes when its worker exhausted the respawn
-        budget (or the scheduler stopped), so during a crash+respawn the
-        slot still counts as alive.
-        """
-        return sum(1 for task in self._tasks if not task.done())
+        """Worker threads serving jobs: all of them while running."""
+        return self.workers if self.running else 0
 
     # ------------------------------------------------------------------
     # submission
@@ -157,125 +130,67 @@ class RequestScheduler:
     async def submit(self, key, fn: Callable[[], object]):
         """Run ``fn`` (or join the identical in-flight request) and return
         its result.  ``key`` must canonically identify the work."""
-        if self._queue is None:
+        if self._executor is None:
             raise RuntimeError("scheduler is not running")
-        if self.workers_alive == 0:
-            # Every worker exhausted its respawn budget; queueing would
-            # hang the caller forever.  The health probe is already
-            # failing at this point — fail fast here too.
-            raise ServiceError("scheduler has no live workers")
         self.stats.submitted += 1
-        future = self._inflight.get(key)
-        if future is not None:
+        job = self._inflight.get(key)
+        if job is None:
+            # The task runs in a copy of the submitter's context, which
+            # _execute binds to the pool thread (trace ids survive the hop).
+            job = asyncio.create_task(self._job(key, fn, perf_counter()))
+            self._inflight[key] = job
+        else:
             self.stats.coalesced += 1
-            # shield: one cancelled waiter must not cancel the shared job.
-            return await asyncio.shield(future)
-        future = asyncio.get_running_loop().create_future()
-        self._inflight[key] = future
-        # Snapshot the submitter's context so the worker thread sees the
-        # same current span (trace ids survive the pool hop).
-        ctx = contextvars.copy_context()
+        # shield: one cancelled waiter must not cancel the shared job.
+        return await asyncio.shield(job)
+
+    async def _job(self, key, fn: Callable[[], object], submitted_at: float):
         try:
-            await self._queue.put((key, fn, future, ctx, perf_counter()))
-        except BaseException:
-            # The enqueue never happened; cancel the future so waiters that
-            # already coalesced onto it are released rather than hung.
-            self._inflight.pop(key, None)
-            if not future.done():
-                future.cancel()
-            raise
-        depth = self._queue.qsize()
-        if depth > self.stats.max_queue_depth:
-            self.stats.max_queue_depth = depth
-        return await asyncio.shield(future)
-
-    # ------------------------------------------------------------------
-    # workers
-    # ------------------------------------------------------------------
-    async def _supervise(self, slot: int) -> None:
-        """Keep one worker slot alive across crashes (bounded).
-
-        ``_worker`` only exits via an exception: ``CancelledError`` on
-        stop (re-raised), or a ``BaseException`` that escaped a job —
-        ``KeyboardInterrupt`` raised on a pool thread, a scheduler bug.
-        Those used to kill the worker silently; now the crash is logged,
-        counted, and the slot respawned up to ``respawn_limit`` times
-        before it is retired (surfacing via ``workers_alive`` and the
-        failing health probe).
-        """
-        restarts = 0
-        while True:
+            async with self._queue_slots:
+                self._queued += 1
+                if self._queued > self.stats.max_queue_depth:
+                    self.stats.max_queue_depth = self._queued
+                try:
+                    await self._worker_slots.acquire()
+                finally:
+                    self._queued -= 1
             try:
-                await self._worker()
-            except asyncio.CancelledError:
-                raise
-            except BaseException as error:  # noqa: BLE001 - see docstring
-                log_event(
-                    _log, logging.ERROR, "worker-crashed",
-                    slot=slot,
-                    error=str(error),
-                    error_type=type(error).__name__,
-                    restarts=restarts,
-                )
-                if restarts >= self.respawn_limit:
-                    log_event(
-                        _log, logging.ERROR, "worker-retired",
-                        slot=slot, restarts=restarts,
-                    )
-                    return
-                restarts += 1
-                self.stats.worker_restarts += 1
-
-    async def _worker(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            key, fn, future, ctx, enqueued_at = await self._queue.get()
-            started_at = perf_counter()
-            self._wait_hist.observe((started_at - enqueued_at) * 1000.0)
-            try:
-                # ctx.run keeps the submitter's contextvars (current span,
-                # trace id) current inside the pool thread.
-                value = await loop.run_in_executor(self._executor, ctx.run, fn)
-            except asyncio.CancelledError:
-                if not future.done():
-                    future.cancel()
-                raise
-            except Exception as error:
-                self.stats.failed += 1
-                self._run_hist.observe((perf_counter() - started_at) * 1000.0)
-                trace_id = ctx.run(current_trace_id)
-                log_event(
-                    _log, logging.ERROR, "worker-error",
-                    code=getattr(error, "code", "internal-error"),
-                    error=str(error),
-                    error_type=type(error).__name__,
-                    **({"trace_id": trace_id} if trace_id else {}),
-                )
-                if not future.done():
-                    future.set_exception(error)
-                # The traceback is delivered to every waiter; the worker
-                # stays alive.
-                future.exception()
-            except BaseException as error:
-                # A worker-killing crash (KeyboardInterrupt from the job,
-                # a scheduler bug): fail the waiters before the worker
-                # dies, then let the supervisor respawn the slot.
-                self.stats.failed += 1
-                if not future.done():
-                    future.set_exception(ServiceError(
-                        "scheduler worker crashed: "
-                        f"{type(error).__name__}: {error}",
-                    ))
-                    future.exception()
-                raise
-            else:
-                self.stats.executed += 1
-                self._run_hist.observe((perf_counter() - started_at) * 1000.0)
-                if not future.done():
-                    future.set_result(value)
+                return await self._execute(fn, submitted_at)
             finally:
-                self._inflight.pop(key, None)
-                self._queue.task_done()
+                self._worker_slots.release()
+        finally:
+            self._inflight.pop(key, None)
+
+    async def _execute(self, fn: Callable[[], object], submitted_at: float):
+        started_at = perf_counter()
+        self._wait_hist.observe((started_at - submitted_at) * 1000.0)
+        try:
+            value = await asyncio.get_running_loop().run_in_executor(
+                self._executor, bind_current_context(fn),
+            )
+        except asyncio.CancelledError:
+            raise
+        except BaseException as error:
+            self.stats.failed += 1
+            self._run_hist.observe((perf_counter() - started_at) * 1000.0)
+            trace_id = current_trace_id()
+            log_event(
+                _log, logging.ERROR, "worker-error",
+                code=getattr(error, "code", "internal-error"),
+                error=str(error),
+                error_type=type(error).__name__,
+                **({"trace_id": trace_id} if trace_id else {}),
+            )
+            if isinstance(error, Exception):
+                raise
+            # A task re-raises KeyboardInterrupt / SystemExit out of the
+            # event loop; the job's waiters get a ServiceError instead.
+            raise ServiceError(
+                f"scheduler job crashed: {type(error).__name__}: {error}",
+            ) from error
+        self.stats.executed += 1
+        self._run_hist.observe((perf_counter() - started_at) * 1000.0)
+        return value
 
     # ------------------------------------------------------------------
     # metrics export
@@ -287,14 +202,13 @@ class RequestScheduler:
             ({"event": event}, snapshot[event])
             for event in ("submitted", "coalesced", "executed", "failed")
         ]
-        depth = self._queue.qsize() if self._queue is not None else 0
         return [
             family_snapshot(
                 "repro_scheduler_requests_total", "counter", events,
                 help="Jobs submitted, coalesced, executed, and failed.",
             ),
             family_snapshot(
-                "repro_scheduler_queue_depth", "gauge", [({}, depth)],
+                "repro_scheduler_queue_depth", "gauge", [({}, self._queued)],
                 help="Jobs currently waiting in the scheduler queue.",
             ),
             family_snapshot(
@@ -307,11 +221,6 @@ class RequestScheduler:
                 [({}, self.workers_alive)],
                 help="Worker slots currently alive (configured: workers).",
             ),
-            family_snapshot(
-                "repro_scheduler_worker_restarts_total", "counter",
-                [({}, snapshot["worker_restarts"])],
-                help="Times a crashed worker slot was respawned.",
-            ),
         ]
 
     # ------------------------------------------------------------------
@@ -319,6 +228,4 @@ class RequestScheduler:
     # ------------------------------------------------------------------
     def queue_saturation(self) -> float:
         """Live queue depth as a fraction of ``max_queue``."""
-        if self._queue is None:
-            return 0.0
-        return self._queue.qsize() / self.max_queue
+        return self._queued / self.max_queue

@@ -137,7 +137,6 @@ from repro.service.wire import (
     health_payload,
     kg_from_spec,
     kg_query_from_spec,
-    kg_update_from_spec,
     readiness_payload,
     result_to_payload,
     result_to_wire,
@@ -145,7 +144,7 @@ from repro.service.wire import (
     subscription_payload,
     target_update_payload,
     task_from_wire,
-    update_batch_from_spec,
+    update_from_spec,
 )
 
 _MAX_BODY = 32 * 1024 * 1024
@@ -542,33 +541,22 @@ class CountingService:
         name = _require(body, "target")
         if not isinstance(name, str):
             raise WireError("'target' must be a registered dataset name")
-        dataset = self.registry.get(name)  # validate before scheduling
-        if dataset.kind == "kg":
-            updates = kg_update_from_spec(body)
+        kind = self.registry.get(name).kind  # validate before scheduling
+        update = update_from_spec(kind, body)
 
-            def fn() -> dict:
-                updated, version = self.registry.update_kg(name, **updates)
-                return target_update_payload(
-                    name,
-                    version.version,
-                    version.applied_summary(),
-                    version.patched,
-                    updated.stats,
-                    self._subscription_payloads(updated),
-                )
-        else:
-            batch = update_batch_from_spec(body)
-
-            def fn() -> dict:
-                updated, record = self.registry.update_graph(name, batch)
-                return target_update_payload(
-                    name,
-                    record.version,
-                    record.applied_summary(),
-                    record.patched,
-                    updated.stats,
-                    self._subscription_payloads(updated),
-                )
+        def fn() -> dict:
+            if kind == "kg":
+                updated, record = self.registry.update_kg(name, **update)
+            else:
+                updated, record = self.registry.update_graph(name, update)
+            return target_update_payload(
+                name,
+                record.version,
+                record.applied_summary(),
+                record.patched,
+                updated.stats,
+                self._subscription_payloads(updated),
+            )
 
         key = ("target-update", name, self._next_sequence())
         return await self.scheduler.submit(key, fn)
@@ -803,22 +791,9 @@ class CountingService:
         scheduler = self.scheduler
         if not scheduler.running:
             return probe_failing("scheduler is not running")
-        alive = scheduler.workers_alive
-        data = {
-            "alive": alive,
-            "configured": scheduler.workers,
-            "restarts": scheduler.stats.worker_restarts,
-        }
-        if alive == 0:
-            return probe_failing(
-                "all scheduler workers exhausted their respawn budget",
-                **data,
-            )
-        if alive < scheduler.workers:
-            return probe_degraded(
-                f"{scheduler.workers - alive} worker slot(s) retired", **data,
-            )
-        return probe_ok(None, **data)
+        return probe_ok(
+            None, alive=scheduler.workers_alive, configured=scheduler.workers,
+        )
 
     def _probe_scheduler_queue(self):
         saturation = self.scheduler.queue_saturation()

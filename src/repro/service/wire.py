@@ -147,13 +147,46 @@ def kg_query_to_spec(query) -> dict:
 # ----------------------------------------------------------------------
 # dynamic-update codecs
 # ----------------------------------------------------------------------
-def update_batch_from_spec(spec) -> "UpdateBatch":
-    """Decode a graph update batch (``add_edges``/``remove_edges``/
-    ``add_vertices``/``remove_vertices`` lists)."""
-    from repro.dynamic.graph import UpdateBatch
+#: The update fields each dataset kind takes, in ``POST /target-update``
+#: bodies and as ``Session.update`` keywords.
+_UPDATE_FIELDS = {
+    "graph": ("add_edges", "remove_edges", "add_vertices", "remove_vertices"),
+    "kg": ("add_vertices", "add_triples", "remove_triples"),
+}
 
+
+def update_from_spec(kind: str, spec):
+    """Decode one update batch for a dataset of ``kind``.
+
+    A graph batch decodes to an :class:`~repro.dynamic.graph.UpdateBatch`,
+    a KG batch to ``DynamicKnowledgeGraph.apply`` keywords.  Any other
+    non-empty field except ``target`` — the other kind's update fields
+    in particular — is rejected, never dropped.
+    """
     if not isinstance(spec, Mapping):
         raise WireError("update spec must be an object")
+    fields = _UPDATE_FIELDS[kind]
+    foreign = sorted(
+        key for key, value in spec.items()
+        if value and key != "target" and key not in fields
+    )
+    if foreign:
+        raise WireError(
+            f"{kind} datasets take {' / '.join(fields)} updates, "
+            f"got {foreign}",
+        )
+    if not any(spec.get(key) for key in fields):
+        raise WireError(
+            f"update batch is empty: pass {' / '.join(fields)}",
+        )
+    if kind == "kg":
+        return _kg_update(spec)
+    return _graph_update(spec)
+
+
+def _graph_update(spec) -> "UpdateBatch":
+    from repro.dynamic.graph import UpdateBatch
+
     for key in ("add_edges", "remove_edges"):
         for edge in spec.get(key, ()):
             if not isinstance(edge, (list, tuple)) or len(edge) != 2:
@@ -161,26 +194,13 @@ def update_batch_from_spec(spec) -> "UpdateBatch":
     for key in ("add_vertices", "remove_vertices"):
         if not isinstance(spec.get(key, []), (list, tuple)):
             raise WireError(f"{key!r} must be a list of vertex names")
-    batch = UpdateBatch.build(
-        add_vertices=spec.get("add_vertices", ()),
-        add_edges=spec.get("add_edges", ()),
-        remove_edges=spec.get("remove_edges", ()),
-        remove_vertices=spec.get("remove_vertices", ()),
+    return UpdateBatch.build(
+        **{key: spec.get(key, ()) for key in _UPDATE_FIELDS["graph"]},
     )
-    if batch.is_empty():
-        raise WireError(
-            "update batch is empty: pass add_edges / remove_edges / "
-            "add_vertices / remove_vertices (or add_triples / "
-            "remove_triples for a KG dataset)",
-        )
-    return batch
 
 
-def kg_update_from_spec(spec) -> dict:
-    """Decode a KG update batch into ``DynamicKnowledgeGraph.apply``
-    keywords (``add_vertices`` entries are ``[name, label]`` or names)."""
-    if not isinstance(spec, Mapping):
-        raise WireError("update spec must be an object")
+def _kg_update(spec) -> dict:
+    """``add_vertices`` entries are ``[name, label]`` or names."""
     add_vertices = []
     for entry in spec.get("add_vertices", ()):
         if isinstance(entry, (list, tuple)) and len(entry) == 2:
@@ -196,16 +216,7 @@ def kg_update_from_spec(spec) -> dict:
                     f"got {triple!r}",
                 )
             bucket.append(tuple(triple))
-    if not (add_vertices or triples["add_triples"] or triples["remove_triples"]):
-        raise WireError(
-            "KG update batch is empty: pass add_vertices / add_triples / "
-            "remove_triples",
-        )
-    return {
-        "add_vertices": add_vertices,
-        "add_triples": triples["add_triples"],
-        "remove_triples": triples["remove_triples"],
-    }
+    return {"add_vertices": add_vertices, **triples}
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,7 @@ from repro.api import (
     WlDimensionTask,
 )
 from repro.engine import set_default_engine
-from repro.errors import TaskError
+from repro.errors import ReproError, TaskError
 from repro.graphs import cycle_graph, path_graph, random_graph
 from repro.homs.brute_force import count_homomorphisms_brute
 from repro.kg import KnowledgeGraph, count_kg_answers_brute, kg_query_from_triples
@@ -217,3 +217,34 @@ class TestCrossExecutorEquivalence:
         occupied.registry.register_graph("mine", host)
         with pytest.raises(TaskError):
             Session().using(occupied)  # would strand 'mine'
+
+
+class TestMixedKindUpdates:
+    """An update carrying the other dataset kind's fields is rejected
+    whole, with the same error code on every session, and leaves the
+    dataset's version where it was."""
+
+    TRIPLE = ("u1", "likes", "m2")
+    VALID = {"ring": {"add_edges": [(0, 2)]}, "taste": {"add_triples": [TRIPLE]}}
+    FOREIGN = {"ring": {"add_triples": [TRIPLE]}, "taste": {"add_edges": [(0, 2)]}}
+
+    @pytest.fixture(params=["local", "service"])
+    def session(self, request, taste_kg):
+        if request.param == "local":
+            session = Session()
+            session.register("ring", cycle_graph(5))
+            session.register("taste", taste_kg)
+            yield session
+            return
+        with BackgroundServer(workers=2) as server:
+            session = Session(ServiceExecutor(port=server.port))
+            session.register("ring", cycle_graph(5))
+            session.register("taste", taste_kg)
+            yield session
+
+    @pytest.mark.parametrize("name", ["ring", "taste"])
+    def test_other_kind_fields_are_rejected(self, session, name):
+        with pytest.raises(ReproError) as excinfo:
+            session.update(name, **self.VALID[name], **self.FOREIGN[name])
+        assert excinfo.value.code == "bad-request"
+        assert session.update(name, **self.VALID[name]) == 1

@@ -1,4 +1,5 @@
-"""Scheduler semantics: coalescing, bounded queue, error propagation."""
+"""Scheduler semantics: coalescing, bounded queue, error propagation,
+crashing jobs and cancellation."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import time
 
 import pytest
 
+from repro.errors import ServiceError
 from repro.service.scheduler import RequestScheduler
 
 
@@ -156,53 +158,115 @@ class TestFailuresAndLimits:
         run(scenario())
 
 
-class TestWorkerSupervision:
-    """Worker-death detection: respawn within budget, then retire."""
+class TestCrashesAndCancellation:
+    """Jobs raising a ``BaseException``, ``stop()`` and cancelled waiters."""
 
     @staticmethod
-    def _kill_worker():
-        # Not an Exception subclass, so it escapes the job-failure path
-        # and takes the worker task down with it.
-        raise KeyboardInterrupt("worker-killing job")
-
-    async def _wait_for(self, condition, timeout=5.0):
+    async def _wait_for(condition, timeout=5.0):
         deadline = time.monotonic() + timeout
         while not condition() and time.monotonic() < deadline:
             await asyncio.sleep(0.001)
         assert condition()
 
-    def test_crashed_worker_respawns_and_waiter_is_not_stranded(self):
-        from repro.errors import ServiceError
+    def test_crashing_jobs_fail_their_waiters_and_the_pool_keeps_serving(self):
+        async def scenario():
+            scheduler = RequestScheduler(workers=1, max_queue=8)
+            await scheduler.start()
+            try:
+                crashes = [KeyboardInterrupt, SystemExit] * 3
+                for attempt, crash in enumerate(crashes):
+                    release = threading.Event()
 
+                    def job(crash=crash, release=release):
+                        release.wait(timeout=5.0)
+                        raise crash("job-level crash")
+
+                    waiters = [
+                        asyncio.create_task(
+                            scheduler.submit(("crash", attempt), job),
+                        )
+                        for _ in range(2)
+                    ]
+                    await self._wait_for(
+                        lambda: scheduler.stats.coalesced == attempt + 1,
+                    )
+                    release.set()
+                    outcomes = await asyncio.gather(
+                        *waiters, return_exceptions=True,
+                    )
+                    for outcome in outcomes:
+                        assert isinstance(outcome, ServiceError)
+                        assert crash.__name__ in str(outcome)
+                    value = await scheduler.submit(
+                        ("after", attempt), lambda attempt=attempt: attempt,
+                    )
+                    assert value == attempt
+                return scheduler.stats
+            finally:
+                await scheduler.stop()
+
+        stats = run(scenario())
+        assert stats.failed == 6
+        assert stats.executed == 6
+
+    def test_stop_releases_running_and_queued_waiters(self):
+        async def scenario():
+            scheduler = RequestScheduler(workers=1, max_queue=8)
+            await scheduler.start()
+            started = threading.Event()
+
+            def running_job():
+                started.set()
+                time.sleep(0.2)
+                return "finished after stop"
+
+            waiters = [
+                asyncio.create_task(scheduler.submit("running", running_job)),
+            ]
+            await self._wait_for(started.is_set)
+            waiters += [
+                asyncio.create_task(
+                    scheduler.submit(("queued", i), lambda i=i: i),
+                )
+                for i in range(3)
+            ]
+            await self._wait_for(lambda: scheduler.queue_saturation() == 3 / 8)
+            await scheduler.stop()
+            return await asyncio.wait_for(
+                asyncio.gather(*waiters, return_exceptions=True), 5.0,
+            )
+
+        outcomes = run(scenario())
+        assert len(outcomes) == 4
+        assert all(isinstance(o, asyncio.CancelledError) for o in outcomes)
+
+    def test_cancelled_waiter_leaves_the_shared_job_to_the_other(self):
         async def scenario():
             scheduler = RequestScheduler(workers=2, max_queue=8)
             await scheduler.start()
-            with pytest.raises(ServiceError, match="worker crashed"):
-                await scheduler.submit("kaboom", self._kill_worker)
-            await self._wait_for(lambda: scheduler.workers_alive == 2)
-            assert scheduler.stats.worker_restarts == 1
-            value = await scheduler.submit("after", lambda: "alive")
+            calls = []
+            release = threading.Event()
+
+            def slow_job():
+                calls.append(1)
+                release.wait(timeout=5.0)
+                return 42
+
+            first, second = [
+                asyncio.create_task(scheduler.submit("shared", slow_job))
+                for _ in range(2)
+            ]
+            await self._wait_for(lambda: scheduler.stats.coalesced == 1)
+            first.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await first
+            release.set()
+            value = await asyncio.wait_for(second, 5.0)
+            stats = scheduler.stats
             await scheduler.stop()
-            return value
+            return value, len(calls), stats
 
-        assert run(scenario()) == "alive"
-
-    def test_respawn_budget_exhaustion_retires_the_pool(self):
-        from repro.errors import ServiceError
-
-        async def scenario():
-            scheduler = RequestScheduler(
-                workers=1, max_queue=8, respawn_limit=1,
-            )
-            await scheduler.start()
-            # initial worker + one respawn = two crashes to exhaust
-            for attempt in range(2):
-                with pytest.raises(ServiceError):
-                    await scheduler.submit(("kill", attempt), self._kill_worker)
-            await self._wait_for(lambda: scheduler.workers_alive == 0)
-            assert scheduler.stats.worker_restarts == 1
-            with pytest.raises(ServiceError, match="no live workers"):
-                await scheduler.submit("dead-pool", lambda: 1)
-            await scheduler.stop()
-
-        run(scenario())
+        value, executions, stats = run(scenario())
+        assert value == 42
+        assert executions == 1
+        assert stats.executed == 1

@@ -1,4 +1,4 @@
-"""Demo — the sharded cluster riding through a worker kill, live.
+"""Demo — the multi-process cluster riding through a worker kill, live.
 
 Launches the full topology (router + 3 supervised worker processes),
 registers a dataset and a maintained subscription, then SIGKILLs one
@@ -27,7 +27,7 @@ def main() -> None:
     host = random_graph(10, 0.4, seed=7)
     patterns = [path_graph(3), cycle_graph(4), cycle_graph(5), path_graph(5)]
 
-    with Cluster(workers=3, hedge_after=0.3) as cluster:
+    with Cluster(workers=3) as cluster:
         client = ServiceClient(port=cluster.port, timeout=60.0)
         client.wait_ready(timeout=30.0)
         pids = cluster.worker_pids()

@@ -4,8 +4,8 @@
   :class:`~repro.engine.HomEngine` (plus the library's query machinery),
   resolving dataset names through a
   :class:`~repro.service.registry.DatasetRegistry` with the same
-  serving-state snapshot and component-shard fan-out discipline as the
-  HTTP server, which runs its routes on exactly this executor.
+  serving-state snapshot discipline as the HTTP server, which runs its
+  routes on exactly this executor.
 * :class:`ServiceExecutor` — ships the canonical wire payload of a spec
   to a running counting service (``POST /task``) and decodes the result.
 * :class:`DynamicExecutor` — binds each spec to a maintained handle
@@ -35,7 +35,6 @@ from repro.api.tasks import (
     TaskBatch,
     WlDimensionTask,
 )
-from repro.engine.batch import run_shard_batch
 from repro.errors import TaskError
 from repro.obs import (
     child_span,
@@ -279,38 +278,18 @@ class LocalExecutor(Executor):
         sp = leaf_span("task.hom-count", executor=self.name)
         with sp:
             pattern = task.pattern
-            shard_count = 1
             version = None
             if isinstance(task.target, str):
                 serving = self._serving(task.target, "graph")
-                version = serving.version
-                target_name: object = task.target
-                target_graph = serving.graph
-                if (
-                    len(serving.shards) > 1
-                    and pattern.num_vertices() > 0
-                    and pattern.is_connected()
-                ):
-                    # Connected patterns sum over component shards exactly;
-                    # numpy-tier shard misses run on a thread pool so one
-                    # request uses this worker process's cores.
-                    shard_count = len(serving.shards)
-                    value, cached = run_shard_batch(
-                        engine, pattern, serving.shards, serving.shard_ids,
-                        parent_span=sp,
-                    )
-                else:
-                    value, cached = engine.count_detailed(
-                        pattern, serving.graph, target_id=serving.target_id,
-                        parent_span=sp,
-                    )
+                version, target_name = serving.version, task.target
+                target_graph, target_id = serving.graph, serving.target_id
             else:
                 target_name = _graph_summary(task.target)
                 target_graph = task.target
                 target_id = self._prepared_target_id(task, sp)
-                value, cached = engine.count_detailed(
-                    pattern, task.target, target_id=target_id, parent_span=sp,
-                )
+            value, cached = engine.count_detailed(
+                pattern, target_graph, target_id=target_id, parent_span=sp,
+            )
             backend = engine.plan_for(pattern, parent_span=sp).describe_for(
                 target_graph,
             )
@@ -318,7 +297,6 @@ class LocalExecutor(Executor):
         provenance: dict = {
             "pattern": _graph_summary(pattern),
             "target": target_name,
-            "shards": shard_count,
         }
         if sp.live:
             sp.attrs["cached"] = cached
@@ -551,11 +529,7 @@ class DynamicExecutor(Executor):
 
     def _provenance(self, task: Task, target_name) -> dict:
         if isinstance(task, HomCountTask):
-            return {
-                "pattern": _graph_summary(task.pattern),
-                "target": target_name,
-                "shards": 1,
-            }
+            return {"pattern": _graph_summary(task.pattern), "target": target_name}
         if isinstance(task, AnswerCountTask):
             from repro.queries.parser import format_query
 

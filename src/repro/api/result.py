@@ -7,7 +7,7 @@ from cache, which target *version* it describes, timing, and a
 human-readable :meth:`Result.explain` plan introspection.
 
 ``provenance`` carries the per-kind display fields (pattern/target
-summaries, the query's logic form, shard counts, version digests); the
+summaries, the query's logic form, version digests); the
 wire layer uses it to rebuild the exact legacy payload shapes, so the
 HTTP API did not change shape when the object model moved underneath it.
 """

@@ -73,7 +73,7 @@ class Session:
     # ------------------------------------------------------------------
     # dataset management
     # ------------------------------------------------------------------
-    def register(self, name: str, target, shards: int = 1):
+    def register(self, name: str, target):
         """Register a named dataset with the executor's backing store.
 
         Graphs and knowledge graphs both register; on a
@@ -86,12 +86,12 @@ class Session:
         if client is not None:
             if hasattr(target, "triples"):
                 return client.register_kg(name, target)
-            return client.register_graph(name, target, shards=shards)
+            return client.register_graph(name, target)
         if self.registry is None:
             raise TaskError("executor has no registry to register datasets in")
         if hasattr(target, "triples"):
             return self.registry.register_kg(name, target).summary()
-        return self.registry.register_graph(name, target, shards=shards).summary()
+        return self.registry.register_graph(name, target).summary()
 
     def update(self, name: str, **updates):
         """Advance a registered dataset by one update batch.

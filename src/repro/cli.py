@@ -643,7 +643,7 @@ def _cmd_client(args: argparse.Namespace) -> int:
             graph = from_graph6(args.graph6)
         else:
             graph = random_graph(args.n, args.p, seed=args.seed)
-        payload = client.register_graph(args.name, graph, shards=args.shards)
+        payload = client.register_graph(args.name, graph)
     elif action == "count":
         from repro.graphs.io import from_graph6
 
@@ -1299,7 +1299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cluster = sub.add_parser(
         "cluster",
-        help="run the sharded topology: a consistent-hash router over N "
+        help="run the multi-process topology: a consistent-hash router over N "
         "supervised worker processes (same wire protocol as serve)",
     )
     cluster.add_argument("--host", default="127.0.0.1")
@@ -1339,7 +1339,6 @@ def build_parser() -> argparse.ArgumentParser:
     register.add_argument("--n", type=int, default=12)
     register.add_argument("--p", type=float, default=0.3)
     register.add_argument("--seed", type=int, default=0)
-    register.add_argument("--shards", type=int, default=1)
     client_count = client_sub.add_parser("count")
     client_count.add_argument("--pattern-graph6", required=True)
     client_count.add_argument("--target", help="registered dataset name")

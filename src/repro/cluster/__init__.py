@@ -1,4 +1,4 @@
-"""repro.cluster — multi-process sharded serving behind one router.
+"""repro.cluster — multi-process serving behind one router.
 
 The sixth layer of the stack: a **router** (:mod:`~repro.cluster.router`)
 fans the existing service wire protocol out over N supervised **worker**

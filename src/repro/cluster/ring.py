@@ -64,7 +64,7 @@ class HashRing:
         """Up to ``count`` *distinct* nodes in preference order.
 
         The first entry is ``node_for(key)``; the rest are the fallback
-        owners a router should try on retry or hedge, in the order they
+        owners a router should retry on worker death, in the order they
         would own ``key`` as the nodes before them leave.  ``count=None``
         returns every node.
         """

@@ -10,13 +10,13 @@ splits traffic three ways:
   ``/wl-dim``, ``/analyze``) are placed on one worker by rendezvous
   hashing of their task digest — ``stable_key_digest`` of the
   :func:`~repro.service.server.task_body`, so a verb and a ``/task``
-  request with one body reach one worker's caches — with router-level
-  **single-flight** per route and digest (a stampede on one hot task
-  leaves the router as a single worker request), bounded **retry** on
-  worker death (connection failures resubmit to the next owner in the
-  preference list — a kill never surfaces as a client error, because
-  every worker replicates the dataset plane), and one **hedge** request
-  when the owner is slow;
+  request with one body reach one worker's caches.  Each request is
+  **forwarded once**, with one worker call outstanding at a time: the
+  owner's scheduler coalesces identical requests under each dataset's
+  version, so the router keeps no single-flight map of its own.  Only
+  worker death triggers a **retry** (a connection failure resubmits to
+  the next owner in the preference list — a kill never surfaces as a
+  client error, because every worker replicates the dataset plane);
 * **mutating routes** (``/register-dataset``, ``/target-update``,
   ``/subscribe``) are serialised through the
   :class:`~repro.cluster.state.ClusterState` log and fanned out to every
@@ -66,7 +66,7 @@ __all__ = ["ClusterRouter", "http_call"]
 
 _log = get_logger("cluster.router")
 
-#: Idempotent counting routes: hashed, single-flighted, retried, hedged.
+#: Idempotent counting routes: hashed, forwarded once, retried on death.
 HASHED_ROUTES = frozenset({
     "/task", "/count", "/count-answers", "/wl-dim", "/analyze",
 })
@@ -160,13 +160,10 @@ class ClusterRouter:
     supervisor confirms, respawns, and re-admits.
     """
 
-    def __init__(
-        self, request_timeout: float = 60.0, hedge_after: float = 1.0,
-    ) -> None:
+    def __init__(self, request_timeout: float = 60.0) -> None:
         self.ring = HashRing()
         self.state = ClusterState()
         self.request_timeout = request_timeout
-        self.hedge_after = hedge_after
         #: Called with a demoted worker's id (the supervisor sets it).
         self.on_suspect = None
         #: worker id -> (host, port); only admitted (replayed) workers.
@@ -176,7 +173,6 @@ class ClusterRouter:
         self._idle: dict[tuple[str, int], list] = {}
         self._membership = asyncio.Event()
         self._mutate_lock = asyncio.Lock()
-        self._inflight: dict[tuple[str, str], asyncio.Future] = {}
         self.request_counts: dict[str, int] = {}
         registry = metrics_registry()
         self._requests_total = registry.counter(
@@ -187,14 +183,6 @@ class ClusterRouter:
         self._retries_total = registry.counter(
             "repro_router_retries_total",
             "Counting requests resubmitted after a worker became unreachable.",
-        )
-        self._hedges_total = registry.counter(
-            "repro_router_hedges_total",
-            "Hedge requests launched against a slow primary worker.",
-        )
-        self._coalesced_total = registry.counter(
-            "repro_router_coalesced_total",
-            "Counting requests served by joining an identical in-flight one.",
         )
         self._replays_total = registry.counter(
             "repro_router_replays_total",
@@ -304,12 +292,9 @@ class ClusterRouter:
             try:
                 status, payload = await self._dispatch(route, body, sp.trace_id)
             except Exception as error:  # noqa: BLE001 - a 503, not a crash
-                status = 503
-                payload = {
-                    "kind": "error",
-                    "error": f"cluster error: {type(error).__name__}: {error}",
-                    "code": "cluster-unavailable",
-                }
+                status, payload = _unavailable(
+                    f"cluster error: {type(error).__name__}: {error}",
+                )
             sp.annotate(status=status)
         if isinstance(payload, dict) and payload.get("code") == "unknown-route":
             name = "<unknown>"
@@ -351,124 +336,55 @@ class ClusterRouter:
     async def _dispatch_hashed(
         self, path: str, body: dict, trace_id: str | None,
     ) -> tuple[int, dict | str]:
-        digest = stable_key_digest(task_body(path, body))
-        key = (path, digest)
-        existing = self._inflight.get(key)
-        if existing is not None:
-            self._coalesced_total.inc()
-            return await asyncio.shield(existing)
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._inflight[key] = future
-        try:
-            result = await self._forward_with_retry(path, body, digest, trace_id)
-            future.set_result(result)
-            return result
-        except BaseException as error:
-            # Waiters see the same failure; transport-level surprises
-            # become a structured 503 in handle()'s catch-all.
-            if not future.done():
-                future.set_exception(error)
-                future.exception()  # consumed: no un-retrieved warnings
-            raise
-        finally:
-            self._inflight.pop(key, None)
+        """Forward to the task digest's owner; on a transport failure,
+        demote it and resubmit to the next owner, waiting out respawn
+        windows until ``request_timeout``.
 
-    async def _forward_with_retry(
-        self, path: str, body: dict, key: str, trace_id: str | None,
-    ) -> tuple[int, dict | str]:
-        """Forward to the key's owner; resubmit on worker death,
-        hedge once the owner looks slow, wait out respawn windows.
-
-        Counting routes are idempotent (same canonical task, same
-        answer), so resubmitting after a SIGKILL — even one that landed
-        mid-response — is always safe.
+        One worker call is outstanding at a time: a count is an exact
+        function of the task and the dataset version, so a second copy
+        could only repeat the first.  Identical requests need no
+        router-side single-flight either: the digest places them on one
+        worker, whose scheduler coalesces them under a key that includes
+        each dataset's version.  Counting routes are idempotent, so
+        resubmitting after a SIGKILL — even one that landed mid-response
+        — is always safe.
         """
+        key = stable_key_digest(task_body(path, body))
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self.request_timeout
-        attempted: set[str] = set()
-        pending: dict[asyncio.Task, str] = {}
-        try:
-            while True:
-                # (Re)compute the preference list against current
-                # membership: demotions and re-admissions between
-                # attempts are picked up immediately.
-                candidates: list[str] = []
-                if self._workers:
-                    candidates = [
-                        wid for wid in self.ring.nodes_for(key)
-                        if wid not in attempted
-                    ]
-                if candidates and len(pending) < 2:
-                    worker_id = candidates[0]
-                    attempted.add(worker_id)
-                    if attempted - {worker_id}:
-                        if pending:
-                            self._hedges_total.inc()
-                        else:
-                            self._retries_total.inc()
-                    endpoint = self._workers.get(worker_id)
-                    if endpoint is None:
-                        continue
-                    task = asyncio.create_task(http_call(
-                        endpoint[0], endpoint[1], "POST", path, body,
-                        timeout=max(0.05, deadline - loop.time()),
-                        trace_id=trace_id,
-                        pool=self._idle.setdefault(endpoint, []),
-                    ))
-                    pending[task] = worker_id
-                if not pending:
-                    # Nothing to try right now (ring empty mid-respawn, or
-                    # every member already failed): wait for membership to
-                    # change, then retry everyone afresh.
-                    remaining = deadline - loop.time()
-                    if remaining <= 0:
-                        return 503, {
-                            "kind": "error",
-                            "error": "no cluster worker answered in time",
-                            "code": "cluster-unavailable",
-                        }
-                    self._membership.clear()
-                    try:
-                        await asyncio.wait_for(
-                            self._membership.wait(),
-                            timeout=min(remaining, 0.25),
-                        )
-                    except asyncio.TimeoutError:
-                        pass
-                    attempted = set()
-                    continue
-                timeout: float | None = None
-                more = [w for w in self.ring.nodes_for(key)
-                        if w in self._workers and w not in attempted]
-                if more and len(pending) < 2:
-                    timeout = self.hedge_after
-                done, _ = await asyncio.wait(
-                    set(pending),
-                    timeout=timeout,
-                    return_when=asyncio.FIRST_COMPLETED,
+        resubmit = False
+        while loop.time() < deadline:
+            if not self._workers:
+                # Ring empty mid-respawn: wait for a (re)admission.
+                try:
+                    await asyncio.wait_for(
+                        self._membership.wait(), timeout=deadline - loop.time(),
+                    )
+                except asyncio.TimeoutError:
+                    pass
+                resubmit = False
+                continue
+            # A failed worker was demoted out of the ring, so the current
+            # owner is the next one down ``ring.nodes_for(key)``.
+            worker_id = self.ring.node_for(key)
+            if resubmit:
+                self._retries_total.inc()
+            resubmit = True
+            endpoint = self._workers[worker_id]
+            try:
+                return await http_call(
+                    endpoint[0], endpoint[1], "POST", path, body,
+                    timeout=max(0.05, deadline - loop.time()),
+                    trace_id=trace_id,
+                    pool=self._idle.setdefault(endpoint, []),
                 )
-                if not done:
-                    continue  # hedge timer fired: loop launches a backup
-                for task in done:
-                    worker_id = pending.pop(task)
-                    try:
-                        status, payload = task.result()
-                    except asyncio.TimeoutError:
-                        # Slow, not dead (TimeoutError must precede its
-                        # OSError parent): leave membership alone, let
-                        # the loop try the next preference or give up
-                        # at the deadline.
-                        continue
-                    except (OSError, asyncio.IncompleteReadError,
-                            ValueError) as error:
-                        self.demote_worker(worker_id, reason=str(error))
-                        continue
-                    return status, payload
-        finally:
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
+            except asyncio.TimeoutError:
+                # Slow, not dead (TimeoutError must precede its OSError
+                # parent): membership stays, and the deadline is spent.
+                break
+            except (OSError, asyncio.IncompleteReadError, ValueError) as error:
+                self.demote_worker(worker_id, reason=str(error))
+        return _unavailable("no cluster worker answered in time")
 
     # ------------------------------------------------------------------
     # replicated mutating routes
@@ -507,11 +423,7 @@ class ClusterRouter:
                         return status, payload
                 versions[worker_id] = _payload_version(payload)
             if primary_status is None:
-                return 503, {
-                    "kind": "error",
-                    "error": "no live worker to apply the mutation",
-                    "code": "cluster-unavailable",
-                }
+                return _unavailable("no live worker to apply the mutation")
             if len(set(map(str, versions.values()))) > 1:
                 log_event(
                     _log, logging.ERROR, "replica-version-divergence",
@@ -705,11 +617,7 @@ class ClusterRouter:
             except (OSError, asyncio.IncompleteReadError,
                     asyncio.TimeoutError, ValueError) as error:
                 self.demote_worker(worker_id, reason=str(error))
-        return 503, {
-            "kind": "error",
-            "error": "no live worker to delegate to",
-            "code": "cluster-unavailable",
-        }
+        return _unavailable("no live worker to delegate to")
 
     # ------------------------------------------------------------------
     # metrics export
@@ -727,6 +635,11 @@ class ClusterRouter:
                 help="Committed mutations in the replication log.",
             ),
         ]
+
+
+def _unavailable(error: str) -> tuple[int, dict]:
+    """The router's structured 503."""
+    return 503, {"kind": "error", "error": error, "code": "cluster-unavailable"}
 
 
 def _payload_version(payload) -> object:

@@ -303,7 +303,6 @@ class Cluster(ServingThread):
         data_dir: str | None = None,
         scheduler_workers: int = 4,
         max_queue: int = 256,
-        hedge_after: float = 1.0,
         request_timeout: float = 60.0,
     ) -> None:
         super().__init__(host, port)
@@ -315,14 +314,10 @@ class Cluster(ServingThread):
             "scheduler_workers": scheduler_workers,
             "max_queue": max_queue,
         }
-        self._hedge_after = hedge_after
         self._request_timeout = request_timeout
 
     def _build(self) -> list:
-        self.router = ClusterRouter(
-            hedge_after=self._hedge_after,
-            request_timeout=self._request_timeout,
-        )
+        self.router = ClusterRouter(request_timeout=self._request_timeout)
         self.supervisor = Supervisor(self.router, host=self.host, **self._config)
         return [
             self.supervisor,

@@ -13,9 +13,8 @@ Patterns are factored into connected components first:
 ``|Hom(H, G)| = |V(G)|^{iso(H)} · Π_c |Hom(H_c, G)|`` for the
 multi-vertex components ``H_c``.  This makes disconnected patterns exact
 under the edge-wise delta (an isolated pattern vertex sees vertex-count
-changes, which no edge delta would), lets isomorphic components share
-engine plans and counts, and is also the decomposition the service's
-component shards rely on.
+changes, which no edge delta would), and lets isomorphic components
+share engine plans and counts.
 
 :class:`MaintainedAnswerCount` lifts the same machinery to conjunctive
 queries via Lemma 22: the answer count is recovered from the power sums

@@ -23,7 +23,6 @@ batching is an optimisation, never a correctness dependency.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.graphs.graph import Graph, Vertex
@@ -108,71 +107,6 @@ def _run_batch_pool(
             rows[i][j] = value
         engine.seed_counts(patterns[i], chunk_targets, counts)
     return rows  # type: ignore[return-value]
-
-
-def run_shard_batch(
-    engine: "HomEngine",
-    pattern: Graph,
-    shards: Sequence[Graph],
-    shard_ids: Sequence[tuple],
-    parent_span=None,
-    processes: int | None = None,
-) -> tuple[int, bool]:
-    """Sum ``|Hom(pattern, shard)|`` over a dataset's component shards.
-
-    The service executors' sharded-count path: probes the count cache
-    under each shard's precomputed id, then — when the kernel cost model
-    says the numpy DP tier carries these shards (its ndarray steps
-    release the GIL) and at least two shards actually miss — executes
-    the misses on a thread pool, so one request uses the worker
-    process's cores instead of walking shards serially.  Pure-Python
-    shards stay sequential: threads would just take GIL turns.  Pool
-    results are seeded back under the shard ids, warming every later
-    request.  Returns ``(total, all_shards_were_cached)``.
-    """
-    values: list[int | None] = [
-        engine.cached_count(pattern, shard, target_id=shard_id)
-        for shard, shard_id in zip(shards, shard_ids)
-    ]
-    missing = [i for i, value in enumerate(values) if value is None]
-    all_cached = not missing
-    if missing:
-        if processes is None:
-            processes = engine.processes or os.cpu_count() or 1
-        if (
-            len(missing) >= 2
-            and processes > 1
-            and _pick_pool([shards[i] for i in missing]) == "thread"
-        ):
-            plan = engine.plan_for(pattern, parent_span=parent_span)
-            try:
-                from concurrent.futures import ThreadPoolExecutor
-
-                with ThreadPoolExecutor(
-                    max_workers=min(processes, len(missing)),
-                ) as executor:
-                    computed = list(executor.map(
-                        plan.execute, [shards[i] for i in missing],
-                    ))
-            except Exception:  # pragma: no cover - degrade to sequential
-                computed = None
-            if computed is not None:
-                engine.seed_counts(
-                    pattern,
-                    [shards[i] for i in missing],
-                    computed,
-                    target_ids=[shard_ids[i] for i in missing],
-                )
-                for index, value in zip(missing, computed):
-                    values[index] = value
-                    engine._note_count_executed()
-                missing = []
-        for index in missing:
-            values[index], _ = engine.count_detailed(
-                pattern, shards[index], target_id=shard_ids[index],
-                parent_span=parent_span,
-            )
-    return sum(values), all_cached  # type: ignore[arg-type]
 
 
 def run_batch(

@@ -216,21 +216,11 @@ class HomEngine:
         pattern: Graph,
         targets: Sequence[Graph],
         counts: Sequence[int],
-        target_ids: Sequence[tuple] | None = None,
     ) -> None:
-        """Fold externally computed counts (e.g. pool results) into the cache.
-
-        ``target_ids`` keys entries under precomputed target keys (dataset
-        shard ids) instead of fingerprinting each target — seeded values
-        must land on the exact keys later ``cached_count``/``count``
-        lookups will use, or they would never be found.
-        """
+        """Fold externally computed counts (e.g. pool results) into the cache."""
         pattern_id = self._cache.pattern_key(pattern)
-        if target_ids is None:
-            target_ids = [target_key(target) for target in targets]
-        for target_id, value in zip(target_ids, counts):
-            key = (pattern_id, target_id, None)
-            self._cache.store_count(key, value)
+        for target, value in zip(targets, counts):
+            self._cache.store_count((pattern_id, target_key(target), None), value)
 
     # ------------------------------------------------------------------
     # introspection / lifecycle

@@ -288,10 +288,8 @@ class ServiceClient:
             path += f"&threshold_ms={float(threshold_ms)}"
         return self.request("GET", path)
 
-    def register_graph(self, name: str, graph, shards: int = 1) -> dict:
+    def register_graph(self, name: str, graph) -> dict:
         payload = {"name": name, "graph": _as_graph_spec(graph)}
-        if shards > 1:
-            payload["shards"] = shards
         return self._post("/register-dataset", payload)["dataset"]
 
     def register_kg(self, name: str, kg) -> dict:

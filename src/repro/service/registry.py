@@ -6,14 +6,9 @@ the per-target work the per-request path should never repeat:
 
 * the engine's **target cache key** (an O(n + m) fingerprint) is computed
   once and passed to :meth:`HomEngine.count` as ``target_id``;
-* the dataset (and each shard) is **pre-encoded** to an
+* the dataset is **pre-encoded** to an
   :class:`~repro.graphs.indexed.IndexedGraph` — bitsets included — so the
   engine's index-space plans never pay the encode on the request path;
-* graph datasets are optionally split into **component shards** — the
-  connected components grouped into ``k`` buckets — so a count request
-  for a *connected* pattern fans out over the shards through the engine's
-  batch path and sums (homomorphisms of a connected pattern land inside a
-  single component, so the sum is exact);
 * knowledge graphs are **gadget-encoded** up front
   (:func:`repro.kg.engine_bridge.encode_kg`), so KG answer requests pay
   zero per-request encoding cost.
@@ -29,7 +24,6 @@ from dataclasses import dataclass, field
 
 from repro.dynamic.graph import DynamicGraph, GraphVersion, UpdateBatch
 from repro.dynamic.kg import DynamicKnowledgeGraph, KgVersion
-from repro.engine.cache import target_key
 from repro.errors import ReproError
 from repro.graphs.graph import Graph
 
@@ -64,16 +58,14 @@ class ServingState:
     """The request-path view of one dataset *version* — immutable, so a
     request reads it with a single attribute load and can never pair one
     version's graph with another version's cache key, however the update
-    thread interleaves.  Fields describe exactly one version: ``graph``,
-    ``target_id``, the component shards (graph datasets), or ``kg`` +
-    ``kg_encoding`` (KG datasets), plus the coalescing ``content_token``.
+    thread interleaves.  Fields describe exactly one version: ``graph``
+    and ``target_id`` (graph datasets), or ``kg`` + ``kg_encoding`` (KG
+    datasets), plus the coalescing ``content_token``.
     """
 
     version: int = 0
     graph: Graph | None = None
     target_id: tuple | None = None
-    shards: tuple = ()
-    shard_ids: tuple = ()
     kg: object | None = None
     kg_encoding: object | None = None
     content_token: object = None
@@ -96,7 +88,6 @@ class Dataset:
 
     name: str
     kind: str  # "graph" | "kg"
-    shards_requested: int = 1
     dynamic: DynamicGraph | None = None
     dynamic_kg: DynamicKnowledgeGraph | None = None
     serving: ServingState = field(default_factory=ServingState)
@@ -110,14 +101,6 @@ class Dataset:
     @property
     def target_id(self) -> tuple | None:
         return self.serving.target_id
-
-    @property
-    def shards(self) -> tuple:
-        return self.serving.shards
-
-    @property
-    def shard_ids(self) -> tuple:
-        return self.serving.shard_ids
 
     @property
     def kg(self):
@@ -157,24 +140,9 @@ class Dataset:
             "kind": "graph",
             "vertices": serving.graph.num_vertices(),
             "edges": serving.graph.num_edges(),
-            "shards": len(serving.shards),
             "version": serving.version,
             "subscriptions": len(self.subscriptions),
         }
-
-
-def component_shards(graph: Graph, shards: int) -> list[Graph]:
-    """Group the connected components of ``graph`` into at most ``shards``
-    induced subgraphs of balanced vertex count (largest-first greedy)."""
-    components = sorted(graph.connected_components(), key=len, reverse=True)
-    shards = max(1, min(shards, len(components)))
-    if shards == 1:
-        return [graph]
-    buckets: list[set] = [set() for _ in range(shards)]
-    for component in components:
-        smallest = min(buckets, key=len)
-        smallest |= component
-    return [graph.induced_subgraph(bucket) for bucket in buckets if bucket]
 
 
 class DatasetRegistry:
@@ -184,19 +152,12 @@ class DatasetRegistry:
         self._datasets: dict[str, Dataset] = {}
         self._lock = threading.Lock()
 
-    def register_graph(
-        self, name: str, graph: Graph, shards: int = 1,
-    ) -> Dataset:
+    def register_graph(self, name: str, graph: Graph) -> Dataset:
         if not name or not isinstance(name, str):
             raise DatasetNameError(
                 f"dataset name must be a non-empty string, got {name!r}",
             )
-        dataset = Dataset(
-            name=name,
-            kind="graph",
-            dynamic=DynamicGraph(graph),
-            shards_requested=shards,
-        )
+        dataset = Dataset(name=name, kind="graph", dynamic=DynamicGraph(graph))
         self._refresh_graph_fields(dataset, dataset.dynamic.snapshot())
         with self._lock:
             self._datasets[name] = dataset
@@ -211,27 +172,14 @@ class DatasetRegistry:
 
         The served graph carries its (patched or recompiled) index
         already — ``DynamicGraph`` warms it per version — so no request
-        ever re-encodes the dataset.  Component shards are rebuilt per
-        version (component structure may change under updates).
+        ever re-encodes the dataset.  The version's ``target_id`` is also
+        its content token.
         """
-        served = record.graph
-        if dataset.shards_requested > 1:
-            shard_graphs = tuple(
-                component_shards(served, dataset.shards_requested),
-            )
-            for shard in shard_graphs:
-                shard.to_indexed().bitsets()
-            shard_ids = tuple(target_key(shard) for shard in shard_graphs)
-        else:
-            shard_graphs = (served,)
-            shard_ids = (record.target_id,)
         dataset.serving = ServingState(
             version=record.version,
-            graph=served,
+            graph=record.graph,
             target_id=record.target_id,
-            shards=shard_graphs,
-            shard_ids=shard_ids,
-            content_token=(record.target_id, len(shard_graphs)),
+            content_token=record.target_id,
         )
 
     def update_graph(

@@ -50,8 +50,8 @@ Routes
 ``POST /analyze``          ``{"query": text}``
                            (the four verbs answer in their per-verb shape,
                            :func:`~repro.service.wire.result_to_payload`)
-``POST /register-dataset`` ``{"name": str, "graph": graphspec, "shards": int}``
-                           or ``{"name": str, "kg": kgspec}``
+``POST /register-dataset`` ``{"name": str, "graph": graphspec}`` or
+                           ``{"name": str, "kg": kgspec}`` (exactly one)
 ``GET  /stats``, ``GET /datasets``, ``GET /health``
 ``GET  /metrics``          Prometheus text (``?format=json`` for the JSON
                            snapshot) of the process metrics registry
@@ -488,24 +488,18 @@ class CountingService:
         if not isinstance(name, str) or not name:
             raise WireError("dataset name must be a non-empty string")
         # Registration is the heaviest non-counting operation (spec
-        # decoding, sharding, IndexedGraph pre-encoding, KG gadget
-        # encoding); run it on the executor so the event loop keeps
-        # serving health checks and completed counts meanwhile.  The
-        # registry is lock-guarded, so worker-thread writes are safe.
+        # decoding, IndexedGraph pre-encoding, KG gadget encoding); run
+        # it on the executor so the event loop keeps serving health
+        # checks and completed counts meanwhile.  The registry is
+        # lock-guarded, so worker-thread writes are safe.
+        if ("graph" in body) == ("kg" in body):
+            raise WireError("register-dataset needs exactly one of 'graph' and 'kg'")
         if "kg" in body:
             def build():
                 return self.registry.register_kg(name, kg_from_spec(body["kg"]))
-        elif "graph" in body:
-            shards = body.get("shards", 1)
-            if not isinstance(shards, int) or isinstance(shards, bool) or shards < 1:
-                raise WireError(f"'shards' must be a positive integer, got {shards!r}")
-
-            def build():
-                return self.registry.register_graph(
-                    name, graph_from_spec(body["graph"]), shards=shards,
-                )
         else:
-            raise WireError("register-dataset needs a 'graph' or 'kg' spec")
+            def build():
+                return self.registry.register_graph(name, graph_from_spec(body["graph"]))
         dataset = await asyncio.get_running_loop().run_in_executor(None, build)
         return {"kind": "register-dataset", "dataset": dataset.summary()}
 

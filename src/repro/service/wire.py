@@ -393,7 +393,6 @@ def result_to_payload(result) -> dict:
             "target": provenance["target"],
             "count": result.value,
             "plan": result.backend,
-            "shards": provenance.get("shards", 1),
         }
     if result.kind == "answer-count":
         return {

@@ -14,23 +14,27 @@ import time
 
 import pytest
 
-from repro.api import HomCountTask
+from repro.api import AnswerCountTask, HomCountTask
 from repro.cluster import Cluster, ClusterRouter
 from repro.graphs import (
     cycle_graph,
-    disjoint_union_many,
     path_graph,
     random_graph,
 )
 from repro.homs import count_homomorphisms_brute
 from repro.obs import registry as metrics_registry
+from repro.queries.answers import count_answers_direct
+from repro.queries.parser import parse_query
 from repro.service.client import ServiceClient
 from repro.service.server import CountingService
+
+#: A 2-star with one existential variable: answer counts interpolate.
+STAR = "q(x1, x2) :- E(x1, y), E(x2, y)"
 
 
 @pytest.fixture(scope="module")
 def cluster():
-    with Cluster(workers=2, hedge_after=0.5) as running:
+    with Cluster(workers=2) as running:
         yield running
 
 
@@ -48,17 +52,6 @@ class TestClusterServing:
         for pattern in (path_graph(3), cycle_graph(4), cycle_graph(5)):
             response = client.count(pattern, "hosts")
             assert response["count"] == count_homomorphisms_brute(pattern, host)
-
-    def test_sharded_dataset_exact(self, client):
-        host = disjoint_union_many(
-            [random_graph(6, 0.5, seed=2), cycle_graph(6), path_graph(5)],
-        )
-        dataset = client.register_graph("sharded", host, shards=3)
-        assert dataset["shards"] == 3
-        pattern = path_graph(3)
-        response = client.count(pattern, "sharded")
-        assert response["shards"] == 3
-        assert response["count"] == count_homomorphisms_brute(pattern, host)
 
     def test_inline_target(self, client):
         host = random_graph(7, 0.5, seed=3)
@@ -126,11 +119,12 @@ class TestClusterServing:
             assert result["cached"] is True
 
     def test_single_flight_coalesces_stampede(self, client, cluster):
-        """A stampede of identical cold requests leaves the router as a
-        single worker request: the router's coalesced counter moves."""
+        """A stampede of identical cold counts executes once: placement
+        sends all six to one worker, whose scheduler coalesces them."""
         pattern = cycle_graph(5)
         host = random_graph(24, 0.5, seed=77)  # slow enough to overlap
         client.register_graph("hot", host)
+        before = client.stats()["engine"]["counts_executed"]
         results: list[dict] = []
         errors: list[Exception] = []
 
@@ -148,11 +142,73 @@ class TestClusterServing:
         for thread in threads:
             thread.join()
         assert not errors
-        values = {response["count"] for response in results}
-        assert len(values) == 1
-        metrics = cluster.router.request_counts
-        assert metrics.get("/count", 0) >= 1
+        expected = count_homomorphisms_brute(pattern, host)
+        assert [response["count"] for response in results] == [expected] * 6
+        assert client.stats()["engine"]["counts_executed"] == before + 1
 
+    def test_read_after_committed_update_sees_the_new_version(
+        self, client, cluster,
+    ):
+        """A ``/task`` sent after a committed ``/target-update`` answers
+        on the new version, even while the identical read on the old
+        version is still running on the same worker."""
+        host = random_graph(40, 0.15, seed=5)  # seconds of interpolation
+        client.register_graph("ryw", host)
+        task = AnswerCountTask(STAR, "ryw")
+        submitted = client.stats()["scheduler"]["submitted"]
+        first: list[dict] = []
+        reader = threading.Thread(target=lambda: first.append(
+            ServiceClient(port=cluster.port).run_task(task),
+        ))
+        reader.start()
+        deadline = time.time() + 30.0
+        while client.stats()["scheduler"]["submitted"] == submitted:
+            assert time.time() < deadline, "the first read never arrived"
+            time.sleep(0.05)
+        edge = next(
+            (0, v) for v in range(1, 40)
+            if not host.has_edge(0, v) and host.degree(v) > 0
+        )
+        assert client.target_update("ryw", add_edges=[edge])["version"] == 1
+        assert reader.is_alive(), "the version-0 read finished too early"
+        second = client.run_task(task)
+        reader.join()
+        updated = host.copy()
+        updated.add_edge(*edge)
+        query = parse_query(STAR)
+        assert (first[0]["version"], first[0]["value"]) == (
+            0, count_answers_direct(query, host),
+        )
+        assert (second["version"], second["value"]) == (
+            1, count_answers_direct(query, updated),
+        )
+        assert second["value"] != first[0]["value"]
+
+    def test_slow_count_executes_once(self, client, cluster):
+        """A routed count that runs for over half a second is computed by
+        one worker, once: the workers' summed executed jobs rise by
+        exactly 1, and the router retries nothing."""
+        host = random_graph(32, 0.2, seed=9)  # about a second to count
+        client.register_graph("once", host)
+        before = client.stats()["scheduler"]
+        retries = cluster.router._retries_total.value
+        response = client.count_answers(STAR, "once")
+        assert response["count"] == count_answers_direct(parse_query(STAR), host)
+        # Wait until every job a worker took has finished: submitted
+        # jobs are either coalesced, executed or failed.
+        deadline = time.time() + 30.0
+        while True:
+            after = client.stats()["scheduler"]
+            delta = {key: after[key] - before[key] for key in (
+                "submitted", "coalesced", "executed", "failed",
+            )}
+            if delta["submitted"] == (
+                delta["coalesced"] + delta["executed"] + delta["failed"]
+            ) or time.time() > deadline:
+                break
+            time.sleep(0.1)
+        assert delta["executed"] == 1
+        assert cluster.router._retries_total.value == retries
 
     def test_quiet_run_demotes_no_worker(self, client, cluster):
         """Pooled router→worker connections never look like a dead
@@ -267,7 +323,7 @@ class TestChaos:
             i: count_homomorphisms_brute(pattern, host)
             for i, pattern in enumerate(patterns)
         }
-        with Cluster(workers=3, hedge_after=0.3) as cluster:
+        with Cluster(workers=3) as cluster:
             client = ServiceClient(port=cluster.port)
             client.wait_ready(timeout=30.0)
             client.register_graph("chaos", host)

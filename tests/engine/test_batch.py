@@ -136,80 +136,3 @@ class TestFacade:
             "counts_cached",
         ):
             assert key in summary
-
-
-class TestShardBatch:
-    """The service executors' sharded-count path (thread pool when the
-    numpy tier carries the shards)."""
-
-    def _shards(self, count=4, size=20):
-        shards = [random_graph(size, 0.25, seed=300 + i) for i in range(count)]
-        shard_ids = [("shard", i) for i in range(count)]
-        return shards, shard_ids
-
-    def test_matches_oracle_and_seeds_cache(self):
-        from repro.engine.batch import run_shard_batch
-
-        engine = HomEngine()
-        pattern = path_graph(3)
-        shards, shard_ids = self._shards()
-        total, cached = run_shard_batch(
-            engine, pattern, shards, shard_ids, processes=2,
-        )
-        assert total == sum(
-            count_homomorphisms_brute(pattern, shard) for shard in shards
-        )
-        assert cached is False
-        # Results were seeded under the shard ids: a repeat is all-warm.
-        warm_total, warm_cached = run_shard_batch(
-            engine, pattern, shards, shard_ids, processes=2,
-        )
-        assert (warm_total, warm_cached) == (total, True)
-        for shard, shard_id in zip(shards, shard_ids):
-            assert engine.cached_count(
-                pattern, shard, target_id=shard_id,
-            ) is not None
-
-    def test_partial_cache_mix(self):
-        from repro.engine.batch import run_shard_batch
-
-        engine = HomEngine()
-        pattern = cycle_graph(4)
-        shards, shard_ids = self._shards(count=3, size=8)
-        # Pre-warm one shard only.
-        engine.count(pattern, shards[1], target_id=shard_ids[1])
-        total, cached = run_shard_batch(
-            engine, pattern, shards, shard_ids, processes=2,
-        )
-        assert cached is False
-        assert total == sum(
-            count_homomorphisms_brute(pattern, shard) for shard in shards
-        )
-
-    def test_sequential_when_single_process(self):
-        from repro.engine.batch import run_shard_batch
-
-        engine = HomEngine()
-        pattern = path_graph(2)
-        shards, shard_ids = self._shards(count=2, size=6)
-        total, cached = run_shard_batch(
-            engine, pattern, shards, shard_ids, processes=1,
-        )
-        assert total == sum(
-            count_homomorphisms_brute(pattern, shard) for shard in shards
-        )
-        assert cached is False
-
-    def test_seed_counts_with_target_ids(self):
-        engine = HomEngine()
-        pattern = path_graph(3)
-        shards, shard_ids = self._shards(count=2, size=6)
-        values = [count_homomorphisms_brute(pattern, s) for s in shards]
-        engine.seed_counts(pattern, shards, values, target_ids=shard_ids)
-        for shard, shard_id, value in zip(shards, shard_ids, values):
-            assert engine.cached_count(
-                pattern, shard, target_id=shard_id,
-            ) == value
-        # Fingerprint-keyed lookups (no target_id) must not see them:
-        # the ids are the cache key, exactly as the executors look up.
-        assert engine.counts_executed == 0

@@ -1,4 +1,4 @@
-"""Dataset registry: preprocessing, shards, and wire codecs."""
+"""Dataset registry: preprocessing and wire codecs."""
 
 from __future__ import annotations
 
@@ -6,14 +6,9 @@ import pytest
 
 from repro.engine import HomEngine
 from repro.engine.cache import target_key
-from repro.graphs import Graph, cycle_graph, path_graph, random_graph
-from repro.graphs.operations import disjoint_union_many
+from repro.graphs import cycle_graph, random_graph
 from repro.kg import KnowledgeGraph
-from repro.service.registry import (
-    DatasetRegistry,
-    RegistryError,
-    component_shards,
-)
+from repro.service.registry import DatasetRegistry, RegistryError
 from repro.service.wire import (
     WireError,
     graph_from_spec,
@@ -23,34 +18,6 @@ from repro.service.wire import (
     kg_query_to_spec,
     kg_to_spec,
 )
-
-
-def multi_component_host() -> Graph:
-    return disjoint_union_many(
-        [random_graph(6, 0.5, seed=1), cycle_graph(5), path_graph(4), cycle_graph(4)],
-    )
-
-
-class TestComponentShards:
-    def test_shards_partition_vertices(self):
-        host = multi_component_host()
-        shards = component_shards(host, 3)
-        assert len(shards) == 3
-        total = sum(shard.num_vertices() for shard in shards)
-        assert total == host.num_vertices()
-
-    def test_connected_pattern_count_sums_over_shards(self):
-        host = multi_component_host()
-        shards = component_shards(host, 3)
-        engine = HomEngine()
-        for pattern in (path_graph(3), cycle_graph(4)):
-            whole = engine.count(pattern, host)
-            sharded = sum(engine.count(pattern, shard) for shard in shards)
-            assert sharded == whole
-
-    def test_single_component_yields_one_shard(self):
-        host = cycle_graph(7)
-        assert component_shards(host, 4) == [host]
 
 
 class TestRegistry:

@@ -9,13 +9,12 @@ import pytest
 from repro.api import HomCountTask, TaskBatch, WlDimensionTask
 from repro.engine import set_default_engine
 from repro.graphs import cycle_graph, grid_graph, path_graph, random_graph
-from repro.graphs.operations import disjoint_union_many
 from repro.homs.brute_force import count_homomorphisms_brute
 from repro.kg import KnowledgeGraph, count_kg_answers_brute, kg_query_from_triples
 from repro.queries.answers import count_answers
 from repro.queries.parser import parse_query
 from repro.service import BackgroundServer, ServiceClient, ServiceError
-from repro.service.wire import kg_query_to_spec, task_to_wire
+from repro.service.wire import graph_to_spec, kg_query_to_spec, kg_to_spec, task_to_wire
 
 
 @pytest.fixture(autouse=True)
@@ -50,7 +49,7 @@ class TestEndToEnd:
         dataset = client.register_graph("hosts", host)
         assert dataset == {
             "name": "hosts", "kind": "graph",
-            "vertices": 11, "edges": host.num_edges(), "shards": 1,
+            "vertices": 11, "edges": host.num_edges(),
             "version": 0, "subscriptions": 0,
         }
         pattern = cycle_graph(5)
@@ -62,17 +61,6 @@ class TestEndToEnd:
         host = random_graph(8, 0.5, seed=3)
         response = client.count(path_graph(4), host)
         assert response["count"] == count_homomorphisms_brute(path_graph(4), host)
-
-    def test_sharded_dataset_count_is_exact(self, client):
-        host = disjoint_union_many(
-            [random_graph(6, 0.5, seed=2), cycle_graph(6), path_graph(5)],
-        )
-        dataset = client.register_graph("sharded", host, shards=3)
-        assert dataset["shards"] == 3
-        pattern = path_graph(3)
-        response = client.count(pattern, "sharded")
-        assert response["shards"] == 3
-        assert response["count"] == count_homomorphisms_brute(pattern, host)
 
     def test_count_answers_cq(self, client):
         host = random_graph(9, 0.4, seed=17)
@@ -189,6 +177,20 @@ class TestErrors:
             client.request("POST", path, body)
         assert excinfo.value.status == 400
         assert excinfo.value.code == "bad-request"
+
+    def test_register_with_graph_and_kg_is_400(self, client):
+        """A body carrying both dataset kinds is refused before any work
+        is scheduled, and registers neither."""
+        kg = KnowledgeGraph(vertices={"a": "A", "b": "B"}, triples=[("a", "r", "b")])
+        with pytest.raises(ServiceError) as excinfo:
+            client.request("POST", "/register-dataset", {
+                "name": "both",
+                "graph": graph_to_spec(cycle_graph(5)),
+                "kg": kg_to_spec(kg),
+            })
+        assert excinfo.value.status == 400
+        assert excinfo.value.code == "bad-request"
+        assert "both" not in [dataset["name"] for dataset in client.datasets()]
 
 
 class TestWarmRestart:

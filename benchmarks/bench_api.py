@@ -7,9 +7,10 @@ from the engine's count cache — the steady state of repeated profiling
 and serving traffic), Session dispatch must cost **< 5%** over calling
 ``HomEngine.count`` directly.
 
-The executor memoises each spec's target fingerprint, so the task path
-actually skips the per-call O(n + m) target keying the direct path pays —
-the gate holds with margin, and the table shows both sides.
+Each task memoises its inline target's fingerprint on the task instance,
+so the task path actually skips the per-call O(n + m) target keying the
+direct path pays — the gate holds with margin, and the table shows both
+sides.
 
 ``python benchmarks/bench_api.py`` asserts the gate.
 """
@@ -57,7 +58,7 @@ def run_experiment() -> float:
     ]
 
     # Warm everything: plans compiled, every count cached, every task's
-    # target fingerprint memoised.
+    # target fingerprint memoised on the task.
     direct_values = [
         engine.count(pattern, target)
         for pattern in patterns

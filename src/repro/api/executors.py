@@ -14,10 +14,11 @@
   version instead of recounting: the spec stays subscribed across
   ``apply``/``rollback``.
 
-Executors memoise per-spec resolution (decoded patterns, parsed queries,
-target fingerprints, gadget encodings, maintained handles) keyed by the
-spec's canonical :meth:`~repro.api.tasks.Task.cache_key`, bounded by an
-LRU so long sessions stay flat in memory.
+Executors memoise per-spec resolution (gadget encodings, maintained
+handles) keyed by the spec's canonical
+:meth:`~repro.api.tasks.Task.cache_key`, bounded by an LRU so long
+sessions stay flat in memory.  An inline hom-count target's fingerprint
+is memoised on the task instance itself.
 """
 
 from __future__ import annotations
@@ -83,6 +84,20 @@ def _finish_task(task: Task, result: Result, sp) -> Result:
     observe_slo(result.kind, result.elapsed_ms)
     _slowlog_record(task, result)
     return result
+
+
+def _inline_target_id(task: HomCountTask, parent=None) -> tuple:
+    """The inline target's engine cache key, fingerprinted at most once
+    per task instance: memoised on the task, like its ``cache_key()``,
+    so a probe miss hands it to the worker that runs the task."""
+    target_id = task.__dict__.get("_target_id")
+    if target_id is None:
+        from repro.engine.cache import target_key
+
+        with child_span(parent, "task.encode.target"):
+            target_id = target_key(task.target)
+        object.__setattr__(task, "_target_id", target_id)
+    return target_id
 
 
 class _PreparedCache:
@@ -266,11 +281,41 @@ class LocalExecutor(Executor):
             raise TaskError("run a TaskBatch through run_batch()")
         raise TaskError(f"cannot execute task kind {task.kind!r}")
 
+    def cached(self, task: Task, serving=None) -> Result | None:
+        """The result of a warm hom count from memory alone, or ``None``.
+
+        The HTTP server calls this on its event loop before handing a
+        request to the scheduler.  Only a :class:`HomCountTask` whose
+        count and plan sit in the engine's in-memory caches hits
+        (:meth:`~repro.engine.HomEngine.peek`): nothing is compiled,
+        canonicalised, executed or read from the persistent store, and
+        an inline target is fingerprinted at most once per task, so a
+        miss costs the worker nothing extra.  ``serving`` is the dataset
+        snapshot the caller admitted the request under (``None``:
+        resolve the current one), so a hit answers that version.  A hit
+        is the :class:`Result` :meth:`run` would build, ``cached=True``.
+        """
+        if not isinstance(task, HomCountTask):
+            return None
+        if isinstance(task.target, str):
+            if serving is None:
+                serving = self._serving(task.target, "graph")
+            target_id = serving.target_id
+        else:
+            target_id = _inline_target_id(task)
+        hit = self.engine.peek(task.pattern, target_id)
+        return None if hit is None else self._run_hom_count(task, serving, hit)
+
     def _serving(self, name: str, kind: str):
         """One immutable serving-state snapshot for a named dataset."""
         return self.registry.get(name, kind=kind).serving
 
-    def _run_hom_count(self, task: HomCountTask) -> Result:
+    def _run_hom_count(
+        self, task: HomCountTask, serving=None, hit=None,
+    ) -> Result:
+        """Count (or, given the ``(value, plan)`` of a :meth:`cached`
+        ``hit``, just report) ``task`` on the ``serving`` snapshot of its
+        dataset, resolved here when ``None``."""
         engine = self.engine
         # leaf_span: warm cache hits are tens of microseconds, so this
         # span skips contextvar registration; the engine's cold-path
@@ -280,19 +325,22 @@ class LocalExecutor(Executor):
             pattern = task.pattern
             version = None
             if isinstance(task.target, str):
-                serving = self._serving(task.target, "graph")
+                if serving is None:
+                    serving = self._serving(task.target, "graph")
                 version, target_name = serving.version, task.target
                 target_graph, target_id = serving.graph, serving.target_id
             else:
                 target_name = _graph_summary(task.target)
                 target_graph = task.target
-                target_id = self._prepared_target_id(task, sp)
-            value, cached = engine.count_detailed(
-                pattern, target_graph, target_id=target_id, parent_span=sp,
-            )
-            backend = engine.plan_for(pattern, parent_span=sp).describe_for(
-                target_graph,
-            )
+                target_id = _inline_target_id(task, sp)
+            if hit is None:
+                value, cached = engine.count_detailed(
+                    pattern, target_graph, target_id=target_id, parent_span=sp,
+                )
+                plan = engine.plan_for(pattern, parent_span=sp)
+            else:
+                (value, plan), cached = hit, True
+            backend = plan.describe_for(target_graph)
         _count_task(task.kind, self.name)
         provenance: dict = {
             "pattern": _graph_summary(pattern),
@@ -311,18 +359,6 @@ class LocalExecutor(Executor):
             provenance=provenance,
             elapsed_ms=sp.duration_ms,
         ), sp)
-
-    def _prepared_target_id(self, task: HomCountTask, parent=None) -> tuple:
-        """The inline target's engine cache key, fingerprinted once per spec."""
-        key = task.cache_key()
-        target_id = self._prepared.get(key)
-        if target_id is None:
-            from repro.engine.cache import target_key
-
-            with child_span(parent, "task.encode.target"):
-                target_id = target_key(task.target)
-            self._prepared.put(key, target_id)
-        return target_id
 
     def _run_answer_count(self, task: AnswerCountTask) -> Result:
         from repro.queries.parser import format_query

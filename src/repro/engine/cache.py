@@ -224,6 +224,34 @@ class EngineCache:
                 return value
         return None
 
+    def peek(self, pattern: Graph, target_id: tuple) -> tuple[int, object] | None:
+        """The in-memory ``(count, plan)`` of an unrestricted count, or
+        ``None``.
+
+        Reads only the LRUs and the memoised canonical key, under the
+        lock: it never canonicalises (a pattern whose canonical key is not
+        memoised is a miss) and never consults the persistent store, so
+        it is safe to call on an event loop.  A hit counts one count hit
+        and one plan hit, like the warm :meth:`lookup_count` +
+        :meth:`lookup_plan` pair it stands in for; a miss counts nothing,
+        since the caller then takes that full path.
+        """
+        fingerprint = pattern.edge_fingerprint()
+        with self._lock:
+            if pattern.num_vertices() > self.canonical_limit:
+                pattern_id = ("label", fingerprint)
+            else:
+                pattern_id = self._canonical_keys.get(fingerprint)
+                if pattern_id is None:
+                    return None
+            value = self.counts.get((pattern_id, target_id, None))
+            plan = self.plans.get(pattern_id)
+            if value is None or plan is None:
+                return None
+            self.stats.count_hits += 1
+            self.stats.plan_hits += 1
+        return value, plan
+
     def store_count(self, key: tuple, value: int) -> None:
         with self._lock:
             before = self.counts.evictions

@@ -184,6 +184,12 @@ class HomEngine:
         )
         return self._cache.lookup_count(key)
 
+    def peek(self, pattern: Graph, target_id: tuple) -> tuple[int, CountPlan] | None:
+        """The warm ``(count, plan)`` of an unrestricted count from memory
+        alone, or ``None`` (:meth:`EngineCache.peek`); ``target_id`` is
+        the target's cache key, as :meth:`count` takes it."""
+        return self._cache.peek(pattern, target_id)
+
     def hom_vector(
         self, patterns: Sequence[Graph], target: Graph,
     ) -> tuple[int, ...]:

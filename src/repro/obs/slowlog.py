@@ -46,12 +46,26 @@ DEFAULT_SLOWLOG_MS = 100.0
 DEFAULT_SLOWLOG_LIMIT = 64
 
 
+def _checked_threshold(threshold) -> float:
+    threshold = float(threshold)
+    # ``not >=`` also rejects NaN, which compares false with everything:
+    # a NaN threshold would capture every task and answer bare ``NaN``,
+    # which is not JSON.
+    if not threshold >= 0:
+        raise ObservabilityError(
+            f"slow-query threshold must be a number >= 0, got {threshold!r}",
+        )
+    return threshold
+
+
 def _env_threshold() -> float:
+    """``REPRO_SLOWLOG_MS`` through the setter's check; anything invalid
+    (unparseable, negative, NaN) leaves the default."""
     raw = os.environ.get("REPRO_SLOWLOG_MS", "").strip()
     if not raw:
         return DEFAULT_SLOWLOG_MS
     try:
-        return float(raw)
+        return _checked_threshold(raw)
     except ValueError:
         return DEFAULT_SLOWLOG_MS
 
@@ -67,12 +81,11 @@ def set_slowlog_threshold_ms(threshold: float) -> float:
     """Tasks and root spans at least this slow are logged (here and in
     the slow-trace ring); returns the previous value.
 
-    ``float("inf")`` disables capture outright.
+    ``float("inf")`` disables capture outright; a negative or NaN
+    threshold raises :class:`~repro.errors.ObservabilityError`.
     """
     global _threshold_ms
-    threshold = float(threshold)
-    if threshold < 0:
-        raise ObservabilityError("slow-query threshold must be >= 0")
+    threshold = _checked_threshold(threshold)
     with _config_lock:
         previous = _threshold_ms
         _threshold_ms = threshold

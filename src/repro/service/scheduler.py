@@ -7,6 +7,11 @@ a zero-argument callable producing the answer.  The scheduler guarantees
   the second ``submit`` of a key awaits the first key's job instead of
   starting new work (heavy traffic on a hot (pattern, target) pair costs
   one count, not N);
+* **cached answers on the loop** — a submission that finds no in-flight
+  job may carry a *probe*, a cheap memory-only lookup the scheduler
+  calls on the event loop before it creates a job: a non-``None`` answer
+  is returned at once and never crosses to the pool (the service probes
+  warm hom counts this way);
 * **bounded queueing** — at most ``max_queue`` jobs wait for a worker;
   later jobs wait for a queue slot (the HTTP handler simply awaits;
   clients see latency, the process never sees an unbounded queue);
@@ -41,9 +46,13 @@ _log = get_logger("scheduler")
 class SchedulerStats:
     """Counters for one :class:`RequestScheduler`."""
 
+    # Each submission also counts under how it was served, so
+    # submitted == executed + coalesced + cached + failed (a job that
+    # stop() cancels counts under none of them).
     submitted: int = 0
     coalesced: int = 0
     executed: int = 0
+    cached: int = 0
     failed: int = 0
     max_queue_depth: int = 0
 
@@ -56,6 +65,7 @@ class SchedulerStats:
             "submitted": self.submitted,
             "coalesced": self.coalesced,
             "executed": self.executed,
+            "cached": self.cached,
             "failed": self.failed,
             "max_queue_depth": self.max_queue_depth,
             "coalesce_rate": round(self.coalesce_rate, 4),
@@ -127,14 +137,32 @@ class RequestScheduler:
     # ------------------------------------------------------------------
     # submission
     # ------------------------------------------------------------------
-    async def submit(self, key, fn: Callable[[], object]):
+    async def submit(
+        self, key, fn: Callable[[], object],
+        probe: Callable[[], object] | None = None,
+    ):
         """Run ``fn`` (or join the identical in-flight request) and return
-        its result.  ``key`` must canonically identify the work."""
+        its result.  ``key`` must canonically identify the work.
+
+        ``probe``, when given, runs on the event loop before a new job is
+        created (a request joining an in-flight job does not probe): a
+        non-``None`` result is the answer, counted as ``cached``, and no
+        job runs.  It must be memory-only and never block.
+        """
         if self._executor is None:
             raise RuntimeError("scheduler is not running")
         self.stats.submitted += 1
         job = self._inflight.get(key)
         if job is None:
+            if probe is not None:
+                try:
+                    value = probe()
+                except Exception:
+                    self.stats.failed += 1
+                    raise
+                if value is not None:
+                    self.stats.cached += 1
+                    return value
             # The task runs in a copy of the submitter's context, which
             # _execute binds to the pool thread (trace ids survive the hop).
             job = asyncio.create_task(self._job(key, fn, perf_counter()))
@@ -200,12 +228,13 @@ class RequestScheduler:
         snapshot = self.stats.snapshot()
         events = [
             ({"event": event}, snapshot[event])
-            for event in ("submitted", "coalesced", "executed", "failed")
+            for event in ("submitted", "coalesced", "executed", "cached", "failed")
         ]
         return [
             family_snapshot(
                 "repro_scheduler_requests_total", "counter", events,
-                help="Jobs submitted, coalesced, executed, and failed.",
+                help="Requests submitted, and how each ended: coalesced, "
+                "executed, cached (answered by the probe), or failed.",
             ),
             family_snapshot(
                 "repro_scheduler_queue_depth", "gauge", [({}, self._queued)],

@@ -23,7 +23,10 @@ Layers (top to bottom):
   engine and registry, and goes through the
   :class:`~repro.service.scheduler.RequestScheduler` under one key: the
   body plus the content (version) of every dataset it names.  Identical
-  concurrent requests coalesce, whichever of the routes they came by;
+  concurrent requests coalesce, whichever of the routes they came by.
+  A warm hom count — its count and plan already in the engine's memory —
+  is answered on the event loop by the executor's memory-only probe;
+  every other request runs on a scheduler worker;
 * one :class:`~repro.engine.HomEngine` shared by all workers (its caches
   are lock-guarded), optionally backed by a
   :class:`~repro.service.store.PersistentStore` so plans and counts
@@ -92,7 +95,7 @@ from urllib.parse import parse_qsl
 
 from repro.api.executors import LocalExecutor
 from repro.api.session import Session
-from repro.api.tasks import TaskBatch
+from repro.api.tasks import HomCountTask, TaskBatch
 from repro.engine import HomEngine, set_default_engine
 from repro.engine.engine import engine_metric_families
 from repro.errors import ReproError, ServiceError
@@ -435,23 +438,26 @@ class CountingService:
     # ------------------------------------------------------------------
     # counting: POST /task and its verb aliases
     # ------------------------------------------------------------------
-    def _dataset_token(self, task):
-        """The content token of a task's dataset target; ``None`` for an
-        inline target, whose content the request body already carries.
+    def _dataset_snapshot(self, task):
+        """The serving snapshot of a task's dataset target at admission;
+        ``None`` for an inline target, whose content the request body
+        already carries.
 
-        Content, not the name: it changes with every dataset version, so
-        a read admitted after a ``target-update`` never joins a job that
-        started before it.  The executor reads its own single snapshot
-        when the job runs — graph and cache key always come from one
-        version — so a coalesced waiter may receive a count for a version
-        *newer* than its admission token (committed while the request was
-        in flight), never a mix of versions.  Resolving here also 404s
-        unknown names before any work is scheduled."""
+        Its content token keys the job.  Content, not the name: it
+        changes with every dataset version, so a read admitted after a
+        ``target-update`` never joins a job that started before it.  The
+        warm-hit probe reads this same snapshot, so a hit is always the
+        admitted version.  A job reads its own single snapshot when it
+        runs — graph and cache key always come from one version — so a
+        coalesced waiter may receive a count for a version *newer* than
+        its admission (committed while the request was in flight), never
+        a mix of versions.  Resolving here also 404s unknown names before
+        any work is scheduled."""
         target = getattr(task, "target", None)
         if not isinstance(target, str):
             return None
         kind = "kg" if task.kind == "kg-answer-count" else "graph"
-        return self.registry.get(target, kind=kind).serving.content_token
+        return self.registry.get(target, kind=kind).serving
 
     async def _op_task(self, body: dict, path: str) -> dict:
         """Every counting route: ``POST /task`` answers the full result
@@ -461,14 +467,19 @@ class CountingService:
         :func:`task_body` plus its dataset tokens: identical bodies
         decode to equal tasks, so coalesced callers share query text and
         target name, and a verb and a ``/task`` request with one body
-        share one job.
+        share one job.  A single hom count also carries the executor's
+        memory-only probe (:meth:`LocalExecutor.cached`), which the
+        scheduler tries on the loop when no identical job is in flight:
+        a warm count is answered there without a worker-thread hop.
+        Every other kind, and every batch, runs on a worker.
         """
         body = task_body(path, body)
         task = task_from_wire(body)
         members = task if isinstance(task, TaskBatch) else (task,)
+        snapshots = [self._dataset_snapshot(member) for member in members]
         key = (
             json.dumps(body, sort_keys=True),
-            tuple(self._dataset_token(member) for member in members),
+            tuple(None if s is None else s.content_token for s in snapshots),
         )
         if isinstance(task, TaskBatch):
             results = await self.scheduler.submit(
@@ -478,8 +489,11 @@ class CountingService:
                 "kind": "result-batch",
                 "results": [result_to_wire(result) for result in results],
             }
+        probe = None
+        if isinstance(task, HomCountTask):
+            probe = partial(self.session.executor.cached, task, snapshots[0])
         result = await self.scheduler.submit(
-            key, lambda: self.session.run(task),
+            key, lambda: self.session.run(task), probe=probe,
         )
         return result_to_wire(result) if path == "/task" else result_to_payload(result)
 
@@ -749,7 +763,7 @@ class CountingService:
                 set_slowlog_threshold_ms(float(threshold))
             except (TypeError, ValueError):
                 raise WireError(
-                    f"'threshold_ms' must be a number, got {threshold!r}",
+                    f"'threshold_ms' must be a number >= 0, got {threshold!r}",
                 )
         return {
             "kind": "slow-queries",

@@ -86,11 +86,13 @@ class TestMetricsReconcile:
             "repro_tasks_total", kind="hom-count", executor="local",
         ) == ok
 
-        # Scheduler: sequential distinct requests — each submitted job ran.
+        # Scheduler: sequential requests — the first round's jobs ran, the
+        # repeat round was answered from cache without a job.
         assert delta("repro_scheduler_requests_total", event="submitted") == ok
-        assert delta("repro_scheduler_requests_total", event="executed") == ok
-        assert delta("repro_scheduler_wait_ms") == ok
-        assert delta("repro_scheduler_run_ms") == ok
+        assert delta("repro_scheduler_requests_total", event="executed") == len(patterns)
+        assert delta("repro_scheduler_requests_total", event="cached") == len(patterns)
+        assert delta("repro_scheduler_wait_ms") == len(patterns)
+        assert delta("repro_scheduler_run_ms") == len(patterns)
 
         # Engine count cache: the repeat round hit once per pattern.
         assert delta(
@@ -170,6 +172,13 @@ class TestMetricsReconcile:
         assert entry["cost"]["total_ms"] >= 0
         assert entry["cost"]["span_count"] >= 1
         assert entry["elapsed_ms"] >= 0
+
+    def test_nan_slow_query_threshold_is_a_400(self, client):
+        before = client.slow_queries()["threshold_ms"]
+        with pytest.raises(ServiceError) as failure:
+            client.request("GET", "/slow-queries?threshold_ms=nan")
+        assert failure.value.status == 400
+        assert client.slow_queries()["threshold_ms"] == before
 
     def test_profile_endpoints_roundtrip(self, client):
         baseline = client.profile()

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.api import HomCountTask, Session
@@ -42,6 +46,23 @@ class TestThreshold:
         assert set_slowlog_threshold_ms(previous) == 5.0
         with pytest.raises(ObservabilityError):
             set_slowlog_threshold_ms(-1.0)
+
+    def test_nan_is_rejected_and_leaves_the_threshold(self):
+        set_slowlog_threshold_ms(5.0)
+        with pytest.raises(ObservabilityError):
+            set_slowlog_threshold_ms(float("nan"))
+        assert slowlog_threshold_ms() == 5.0
+
+    @pytest.mark.parametrize("raw", ["nan", "-1"])
+    def test_invalid_env_threshold_falls_back_to_the_default(self, raw):
+        completed = subprocess.run(
+            [sys.executable, "-c",
+             "from repro.obs import slowlog_threshold_ms; "
+             "print(slowlog_threshold_ms())"],
+            env={**os.environ, "REPRO_SLOWLOG_MS": raw},
+            capture_output=True, text=True, check=True,
+        )
+        assert float(completed.stdout) == 100.0
 
     def test_infinite_threshold_disables_capture(self):
         set_slowlog_threshold_ms(float("inf"))

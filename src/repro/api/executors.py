@@ -253,17 +253,33 @@ class LocalExecutor(Executor):
             query, target, engine=self.engine, target_id=target_id,
         )
 
-    def _answer_count_parsed(self, query, target, method: str) -> tuple[int, str]:
-        from repro.queries.answers import (
-            count_answers_by_interpolation,
-            count_answers_direct,
-        )
+    def _answer_count_parsed(
+        self, query, target, method: str, target_id=None, parent_span=None,
+    ) -> tuple[int, str, bool]:
+        """``(value, backend, cached)`` of ``|Ans(query, target)|`` by
+        ``method``: ``'auto'`` goes direct for Boolean queries and runs
+        the engine's answer plan otherwise.  ``target_id`` is the
+        target's engine cache key (computed here when ``None`` and the
+        route needs one)."""
+        if method == "direct" or (method == "auto" and query.is_boolean()):
+            from repro.queries.answers import count_answers_direct
 
-        if method == "auto":
-            method = "direct" if query.is_boolean() else "interpolation"
-        if method == "direct":
-            return count_answers_direct(query, target), "direct"
-        return count_answers_by_interpolation(query, target), "interpolation"
+            return count_answers_direct(query, target), "direct", False
+        if target_id is None:
+            from repro.engine.cache import target_key
+
+            target_id = target_key(target)
+        if method == "interpolation":
+            from repro.queries.answers import count_answers_by_interpolation
+
+            value = count_answers_by_interpolation(
+                query, target, engine=self.engine, target_id=target_id,
+            )
+            return value, "interpolation", False
+        value, cached, plan = self.engine.answer_count_detailed(
+            query, target, target_id=target_id, parent_span=parent_span,
+        )
+        return value, plan.describe_for(target), cached
 
     # ------------------------------------------------------------------
     # task execution
@@ -366,16 +382,19 @@ class LocalExecutor(Executor):
         sp = span("task.answer-count", executor=self.name)
         with sp:
             query = task.parsed()
-            version = None
+            version = target_id = None
             if isinstance(task.target, str):
                 serving = self._serving(task.target, "graph")
                 host, version, target_name = (
                     serving.graph, serving.version, task.target,
                 )
+                target_id = serving.target_id
             else:
                 host, target_name = task.target, _graph_summary(task.target)
-            value, method = self._answer_count_parsed(query, host, task.method)
-            sp.annotate(backend=method)
+            value, backend, cached = self._answer_count_parsed(
+                query, host, task.method, target_id, sp,
+            )
+            sp.annotate(backend=backend)
         _count_task(task.kind, self.name)
         provenance: dict = {
             "query": task.query,
@@ -388,7 +407,8 @@ class LocalExecutor(Executor):
             kind=task.kind,
             value=value,
             executor=self.name,
-            backend=method,
+            backend=backend,
+            cached=cached,
             version=version,
             provenance=provenance,
             elapsed_ms=sp.duration_ms,

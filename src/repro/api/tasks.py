@@ -69,16 +69,18 @@ def _normalise_kg(value, what: str):
     )
 
 
-def _normalise_query_text(value) -> str:
-    """Query text or a :class:`ConjunctiveQuery` → validated text."""
+def _normalise_query_text(value) -> tuple:
+    """Query text or a :class:`ConjunctiveQuery` → ``(validated text,
+    parsed query)``; the parse is ``None`` for a query object, whose
+    formatted text is parsed on first use."""
     from repro.queries.parser import format_query, parse_query
     from repro.queries.query import ConjunctiveQuery
 
     if isinstance(value, ConjunctiveQuery):
-        return format_query(value, style="datalog")
+        return format_query(value, style="datalog"), None
     if isinstance(value, str):
-        parse_query(value)  # validation only; the raw text stays canonical
-        return value
+        # The raw text stays canonical; the validating parse is kept.
+        return value, parse_query(value)
     raise TaskError(
         f"query must be text or a ConjunctiveQuery, got {type(value).__name__}",
     )
@@ -162,7 +164,11 @@ class AnswerCountTask(Task):
     ``method`` selects the counting route: ``'direct'`` enumerates,
     ``'interpolation'`` rides Lemma 22 over engine-backed power sums, and
     ``'auto'`` (the service's behaviour) goes direct for Boolean queries
-    and interpolates otherwise.  All routes agree on the value.
+    and otherwise runs the engine's
+    :class:`~repro.engine.plans.AnswerPlan` over the query's
+    counting-minimal core (at the semantic extension width, with the
+    answer count cached per core and target).  All routes agree on the
+    value.
     """
 
     kind: ClassVar[str] = "answer-count"
@@ -174,12 +180,16 @@ class AnswerCountTask(Task):
     def __init__(self, query, target, method: str = "auto") -> None:
         if method not in _ANSWER_METHODS:
             raise TaskError(f"unknown answer-count method {method!r}")
-        object.__setattr__(self, "query", _normalise_query_text(query))
+        text, parsed = _normalise_query_text(query)
+        object.__setattr__(self, "query", text)
+        if parsed is not None:
+            object.__setattr__(self, "_parsed", parsed)
         object.__setattr__(self, "target", _normalise_graph_target(target))
         object.__setattr__(self, "method", method)
 
     def parsed(self):
-        """The parsed :class:`ConjunctiveQuery` (memoised)."""
+        """The parsed :class:`ConjunctiveQuery` (memoised; text input
+        keeps the parse that validated it)."""
         parsed = self.__dict__.get("_parsed")
         if parsed is None:
             from repro.queries.parser import parse_query
@@ -237,7 +247,7 @@ class WlDimensionTask(Task):
     query: str
 
     def __init__(self, query) -> None:
-        object.__setattr__(self, "query", _normalise_query_text(query))
+        object.__setattr__(self, "query", _normalise_query_text(query)[0])
 
     def describe(self) -> str:
         return repr(self.query)
@@ -252,7 +262,7 @@ class AnalyzeTask(Task):
     query: str
 
     def __init__(self, query) -> None:
-        object.__setattr__(self, "query", _normalise_query_text(query))
+        object.__setattr__(self, "query", _normalise_query_text(query)[0])
 
     def describe(self) -> str:
         return repr(self.query)

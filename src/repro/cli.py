@@ -101,6 +101,7 @@ def _cmd_dominating(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
+    from repro.api.session import default_session
     from repro.engine import default_engine
     from repro.graphs.io import from_graph6
     from repro.queries.answers import (
@@ -141,8 +142,10 @@ def _cmd_count(args: argparse.Namespace) -> int:
             ))
         return 0
 
-    # Batch mode always exercises the engine-backed hom-count route
-    # (Lemma-22 interpolation) so the cache statistics describe real work.
+    # Batch mode always exercises the engine-backed routes (Lemma-22
+    # interpolation, and the answer plan that `auto` runs for non-Boolean
+    # queries) so the cache statistics describe real work; each is
+    # cross-checked against direct enumeration.
     engine_route = (args.interpolate or len(hosts) > 1) and not query.is_boolean()
 
     print(f"query  {format_query(query, style='logic')}")
@@ -151,11 +154,15 @@ def _cmd_count(args: argparse.Namespace) -> int:
         direct = count_answers(query, host)
         line = f"host {host!r}  |Ans| {direct}"
         if engine_route:
-            via_homs = count_answers_by_interpolation(query, host)
-            agreement = "ok" if via_homs == direct else "MISMATCH"
-            line += f"  via Lemma-22 interpolation {via_homs} [{agreement}]"
-            if via_homs != direct:
-                status = 1
+            routes = (
+                ("Lemma-22 interpolation", count_answers_by_interpolation(query, host)),
+                ("answer plan", default_session().run_answer_count(query, host)),
+            )
+            for name, value in routes:
+                agreement = "ok" if value == direct else "MISMATCH"
+                line += f"  via {name} {value} [{agreement}]"
+                if value != direct:
+                    status = 1
         print(line)
     if engine_route and len(hosts) > 1:
         stats = default_engine().stats_summary()
@@ -1067,7 +1074,8 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument(
         "--interpolate",
         action="store_true",
-        help="also recover the count from |Hom(F_ell)| (Lemma 22)",
+        help="also recover the count from |Hom(F_ell)| (Lemma 22) and "
+        "from the answer plan, each checked against direct enumeration",
     )
     count.add_argument("--json", action="store_true", help=json_help)
     count.set_defaults(func=_cmd_count)

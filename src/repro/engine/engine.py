@@ -4,8 +4,10 @@
 to for homomorphism counts.  It owns
 
 * a plan cache (canonical-form keys → compiled
-  :class:`~repro.engine.plans.CountPlan`),
-* a count cache (``pattern × target × restriction`` → int),
+  :class:`~repro.engine.plans.CountPlan`, and query canonical keys →
+  :class:`~repro.engine.plans.AnswerPlan`),
+* a count cache (``pattern × target × restriction`` → int; an answer
+  count keys on its query's counting-minimal core instead of a pattern),
 * batch evaluation with optional multiprocessing
   (:mod:`repro.engine.batch`).
 
@@ -24,6 +26,7 @@ never corrupt.
 from __future__ import annotations
 
 import threading
+from functools import partial
 from typing import Mapping, Sequence
 
 from repro.engine.batch import run_batch
@@ -34,7 +37,12 @@ from repro.engine.cache import (
     restriction_key,
     target_key,
 )
-from repro.engine.plans import CountPlan, compile_plan
+from repro.engine.plans import (
+    AnswerPlan,
+    CountPlan,
+    compile_answer_plan,
+    compile_plan,
+)
 from repro.graphs.graph import Graph, Vertex
 from repro.obs import child_span, family_snapshot, registry
 
@@ -189,6 +197,60 @@ class HomEngine:
         alone, or ``None`` (:meth:`EngineCache.peek`); ``target_id`` is
         the target's cache key, as :meth:`count` takes it."""
         return self._cache.peek(pattern, target_id)
+
+    # ------------------------------------------------------------------
+    # answer counts
+    # ------------------------------------------------------------------
+    def answer_plan_for(self, query, parent_span=None) -> AnswerPlan:
+        """The compiled :class:`AnswerPlan` of a
+        :class:`~repro.queries.query.ConjunctiveQuery`, cached under the
+        query's canonical key: the counting-minimal core is computed once
+        per query.  A full core's hom-count plan is this engine's, shared
+        with hom counts of the core graph."""
+        key = ("answer", query.canonical_key())
+        plan = self._cache.lookup_plan(key)
+        if plan is None:
+            with child_span(
+                parent_span, "engine.compile", vertices=query.num_variables(),
+            ) as sp:
+                plan = compile_answer_plan(
+                    query,
+                    plan_for=partial(self.plan_for, parent_span=sp),
+                    key_for=self._cache.pattern_key,
+                )
+                sp.annotate(backend=plan.kind)
+            self._note_plan_compiled()
+            self._cache.store_plan(key, plan)
+        return plan
+
+    def answer_count_detailed(
+        self,
+        query,
+        target: Graph,
+        target_id: tuple | None = None,
+        parent_span=None,
+    ) -> tuple[int, bool, AnswerPlan]:
+        """``(|Ans(query, target)|, from_cache, plan)`` through the query's
+        :class:`AnswerPlan`.
+
+        The count is cached under the plan's ``count_id`` — the
+        counting-minimal core, which counting-equivalent queries share
+        (Lemma 44) — so a repeat or a rephrasing is a count-cache hit
+        that executes nothing.  ``target_id`` and ``parent_span`` are as
+        in :meth:`count_detailed`.
+        """
+        plan = self.answer_plan_for(query, parent_span)
+        if target_id is None:
+            target_id = target_key(target)
+        key = (plan.count_id, target_id, None)
+        cached = self._cache.lookup_count(key)
+        if cached is not None:
+            return cached, True, plan
+        with child_span(parent_span, "engine.execute", backend=plan.kind):
+            value = plan.execute(target)
+        self._note_count_executed()
+        self._cache.store_count(key, value)
+        return value, False, plan
 
     def hom_vector(
         self, patterns: Sequence[Graph], target: Graph,

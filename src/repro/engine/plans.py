@@ -18,20 +18,27 @@ spectrum:
 model: the brute-force search explores ``O(n_G^{|V(H)|})`` states while the
 DP explores ``O(n_G^{tw(H)+1})`` per node, so the greedy treewidth upper
 bound (cheap, no branch-and-bound) decides which exponent is smaller.
+
+Answer counts of conjunctive queries compile to an :class:`AnswerPlan`
+(:func:`compile_answer_plan`), which counts on the query's
+counting-minimal core at its semantic extension width — the
+WL-dimension (Theorem 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Literal, Mapping, Sequence
 
+from repro.engine.cache import pattern_key
 from repro.graphs.graph import Graph, Vertex
 from repro.graphs.matrices import count_closed_walks, count_walks
-from repro.homs.brute_force import count_homomorphisms_brute
+from repro.homs.brute_force import count_homomorphisms_brute, exists_homomorphism
 from repro.homs.treewidth_dp import compile_tape, prepared_pattern, run_tape
 from repro.treewidth.heuristics import heuristic_treewidth_upper_bound
 
-PlanKind = Literal["constant", "brute", "matrix", "dp"]
+PlanKind = Literal["constant", "brute", "matrix", "dp", "answer"]
 
 # Patterns at or below this size never benefit from a decomposition: the
 # DP's table machinery costs more than exhausting the search space.
@@ -152,14 +159,17 @@ class DPPlan(CountPlan):
         )
 
     def describe_for(self, target: Graph) -> str:
-        from repro import kernel
+        return f"{self.describe()}/{_dp_tier(target, self.width)}"
 
-        tier = kernel.would_select("dp", target.num_vertices())
-        if tier == "numpy" and not kernel.dp_packable(
-            target.num_vertices(), self.width + 1,
-        ):
-            tier = "python"
-        return f"{self.describe()}/{tier}"
+
+def _dp_tier(target: Graph, width: int) -> str:
+    """The tier :func:`run_tape` would pick for a tape of ``width``."""
+    from repro import kernel
+
+    tier = kernel.would_select("dp", target.num_vertices())
+    if tier == "numpy" and not kernel.dp_packable(target.num_vertices(), width + 1):
+        tier = "python"
+    return tier
 
 
 def compile_dp_plan(pattern: Graph) -> DPPlan:
@@ -231,3 +241,182 @@ def compile_plan(pattern: Graph) -> CountPlan:
     if select_backend(pattern) == "brute":
         return BrutePlan(pattern)
     return compile_dp_plan(pattern)
+
+
+# ----------------------------------------------------------------------
+# answer counts
+# ----------------------------------------------------------------------
+@dataclass
+class AnswerPlan(CountPlan):
+    """``|Ans((H, X), G)|`` on the counting-minimal core of ``(H, X)``.
+
+    Counting-equivalent queries have isomorphic cores (Lemma 44), so
+    ``count_id`` — the core's identity in the engine's count cache — is
+    shared by every rephrasing of a query.  A *full* core (no existential
+    variables left) counts its answers as ``|Hom(core, G)|``: ``hom`` is
+    the core graph's hom-count plan and ``count_id`` its pattern key, so
+    the answer shares that hom count's plan and count entry.
+
+    Otherwise each component ``C`` of ``core[Y]`` with attachment ``δ =
+    N(C) ∩ X`` becomes a 0/1 table ``R_C = {a ∈ V(G)^δ : a extends to a
+    homomorphism of C's edges}``, built per execution and never cached;
+    a component with ``δ = ∅`` is a 0/1 factor.  One run of the
+    treewidth-DP tape over a nice decomposition of the contract
+    ``Γ(core)[X]`` then counts the assignments of ``X`` that respect the
+    real edges of ``core[X]`` and every table (Corollary 4's
+    construction; variable elimination with relation factors).  ``δ`` is
+    a clique of the contract, so it fits one bag: the tape's width is
+    ``tw(Γ(core)[X]) <= sew``, and a table costs ``|V(G)|^{|δ|}`` cheap
+    checks, with ``|δ| <= sew + 1``.
+    """
+
+    core: Graph
+    free: tuple
+    sew: int
+    count_id: tuple
+    hom: CountPlan | None = None
+    factors: tuple = ()        # component patterns with δ = ∅
+    tables: tuple = ()         # (component pattern, scope δ) pairs
+    width: int = 0
+    instructions: Sequence[tuple] = field(default=(), repr=False)
+    kind: PlanKind = "answer"
+
+    def execute(self, target, allowed=None, backend: str = "auto"):
+        if self.hom is not None:
+            return self.hom.execute(target)
+        for pattern in self.factors:
+            if not exists_homomorphism(pattern, target):
+                return 0
+        if not self.free:
+            return 1
+        relations = [
+            _component_table(pattern, scope, target)
+            for pattern, scope in self.tables
+        ]
+        return run_tape(
+            self.instructions, self.width, target, None, backend,
+            relations=relations,
+        )
+
+    def describe(self) -> str:
+        return (
+            f"answer-plan(core={self.core.num_vertices()}, sew={self.sew}, "
+            f"tables={len(self.tables)})"
+        )
+
+    def describe_for(self, target: Graph) -> str:
+        if self.hom is not None:
+            return f"{self.describe()}+{self.hom.describe_for(target)}"
+        # A tape that checks tables runs the pure loop (run_tape).
+        tier = "python" if self.tables else _dp_tier(target, self.width)
+        return f"{self.describe()}/{tier}"
+
+
+def _component_table(pattern: Graph, scope: tuple, target: Graph) -> dict[tuple, int]:
+    """``R_C`` in target indices, as :func:`~repro.homs.treewidth_dp.run_tape`
+    takes a relation: images of ``scope[:-1]`` → bitset of the images of
+    ``scope[-1]`` that complete a row.
+
+    A one-vertex component ``{y}`` admits ``a`` exactly when the images
+    of ``δ`` have a common neighbour: one AND of neighbourhood bitsets per
+    prefix, and the last slot's images are the neighbours of the common
+    ones.  A larger component runs the backtracking search with ``δ``
+    fixed, once per tuple of non-isolated vertices.
+    """
+    indexed = target.to_indexed()
+    bits = indexed.bitsets()
+    table: dict[tuple, int] = {}
+    last = len(scope) - 1
+    if pattern.num_vertices() == len(scope) + 1:
+
+        def extend(prefix: tuple, common: int) -> None:
+            # ``common``: the images of y adjacent to every image so far.
+            reach, pool = 0, common
+            while pool:
+                low_bit = pool & -pool
+                pool ^= low_bit
+                reach |= bits[low_bit.bit_length() - 1]
+            if len(prefix) == last:
+                if reach:
+                    table[prefix] = reach
+                return
+            while reach:
+                low_bit = reach & -reach
+                reach ^= low_bit
+                image = low_bit.bit_length() - 1
+                extend(prefix + (image,), common & bits[image])
+
+        extend((), (1 << indexed.n) - 1)
+        return table
+    labels = indexed.codec.labels
+    candidates = [v for v in range(indexed.n) if bits[v]]
+    for prefix in product(candidates, repeat=last):
+        fixed = {x: labels[image] for x, image in zip(scope, prefix)}
+        pool = 0
+        for image in candidates:
+            fixed[scope[last]] = labels[image]
+            if exists_homomorphism(pattern, target, fixed=fixed):
+                pool |= 1 << image
+        if pool:
+            table[prefix] = pool
+    return table
+
+
+def compile_answer_plan(
+    query, plan_for=compile_plan, key_for=pattern_key,
+) -> AnswerPlan:
+    """Compile ``query`` (a :class:`~repro.queries.query.ConjunctiveQuery`)
+    into an :class:`AnswerPlan` over its counting-minimal core.
+
+    A full core's hom-count plan comes from ``plan_for`` and its count
+    identity from ``key_for``; the engine passes its own, so both are
+    shared with hom counts of the core graph.
+    """
+    from repro.queries.extension import extension_graph
+    from repro.queries.minimality import counting_minimal_core
+    from repro.treewidth.exact import optimal_tree_decomposition, treewidth
+    from repro.treewidth.nice import nice_tree_decomposition
+
+    core = counting_minimal_core(query)
+    graph = core.graph
+    gamma = extension_graph(core)
+    free = tuple(v for v in graph.vertices() if v in core.free_variables)
+    plan = AnswerPlan(
+        core=graph,
+        free=free,
+        sew=treewidth(gamma),
+        count_id=("answer", core.canonical_key()),
+    )
+    if core.is_full():
+        plan.hom, plan.count_id = plan_for(graph), key_for(graph)
+        return plan
+    factors, attached = [], []
+    for component in core.quantified_components():
+        attachment = core.component_attachment(component)
+        pattern = graph.induced_subgraph(component | attachment)
+        for u, v in graph.induced_subgraph(attachment).edges():
+            pattern.remove_edge(u, v)
+        (attached if attachment else factors).append((pattern, attachment))
+    plan.factors = tuple(pattern for pattern, _ in factors)
+    if not free:
+        return plan
+    root = nice_tree_decomposition(
+        optimal_tree_decomposition(gamma.induced_subgraph(free)),
+    )
+    introduces = [node for node in root.iter_postorder() if node.kind == "introduce"]
+    tables = []
+    for pattern, attachment in attached:
+        # The vertex of the first INTRODUCE that checks the table goes
+        # last in its scope: the table is indexed by that slot already.
+        last = next(
+            node.vertex for node in introduces
+            if node.vertex in attachment and attachment <= node.bag
+        )
+        scope = tuple(v for v in free if v in attachment and v != last)
+        tables.append((pattern, scope + (last,)))
+    plan.tables = tuple(tables)
+    plan.width = root.width()
+    plan.instructions = compile_tape(
+        graph.induced_subgraph(free), root, [scope for _, scope in tables],
+    )
+    return plan

@@ -22,6 +22,15 @@ once to a flat *instruction tape* (:func:`compile_tape`), and
   ndarray tables, picked by the kernel cost model, which falls back to the
   pure loop whenever int64 could overflow.
 
+A tape may also check *relations*: 0/1 tables over tuples of pattern
+vertices, given per run (:class:`repro.engine.plans.AnswerPlan` checks one
+table per existential component this way).  INTRODUCE of ``v`` checks
+every relation whose scope contains ``v`` and lies inside the new bag.
+Tables are 0/1, so checking one at several INTRODUCEs is still exact; a
+scope that is a clique of the decomposed graph lies in some bag, and the
+last of its vertices introduced below that bag checks it.  Only the pure
+loop checks relations.
+
 :func:`count_homomorphisms_dp` compiles the tape (memoised on the
 decomposition root) and runs it; :class:`repro.engine.plans.DPPlan` keeps a
 compiled tape in the engine's plan cache and runs it through the same
@@ -43,7 +52,7 @@ from repro.treewidth.nice import NiceNode, nice_tree_decomposition
 # pattern codec index — a total order, so labels that share a ``repr``
 # cannot collide.
 LEAF = 0
-INTRODUCE = 1  # (INTRODUCE, vertex label, position, neighbour positions)
+INTRODUCE = 1  # (INTRODUCE, vertex label, position, neighbour positions[, checks])
 FORGET = 2  # (FORGET, position)
 JOIN = 3
 
@@ -81,12 +90,21 @@ def count_homomorphisms_dp(
     return run_tape(instructions, width, target, allowed, backend)
 
 
-def compile_tape(pattern: Graph, root: NiceNode) -> list[tuple]:
+def compile_tape(
+    pattern: Graph, root: NiceNode, relations: Sequence[tuple] = (),
+) -> list[tuple]:
     """Lower the nice decomposition ``root`` of ``pattern`` to the
-    instruction tape (one instruction per node, postorder)."""
+    instruction tape (one instruction per node, postorder).
+
+    ``relations`` lists the scopes (tuples of pattern vertices) of the
+    relations the tape checks.  An INTRODUCE that checks some carries a
+    fifth field: one ``(relation index, slot of the vertex in the scope,
+    child-bag positions of the rest of the scope)`` triple per relation.
+    """
     indexed_pattern = pattern.to_indexed()
     encode = indexed_pattern.codec.encode
     pattern_adjacency = indexed_pattern.adjacency_lists()
+    scopes = [tuple(encode(v) for v in scope) for scope in relations]
 
     def bag_order(bag: frozenset) -> list[int]:
         return sorted(encode(v) for v in bag)
@@ -107,9 +125,18 @@ def compile_tape(pattern: Graph, root: NiceNode) -> list[tuple]:
             )
             # The label rides along for ``allowed`` lookups at execute
             # time; all positional arithmetic is already index-space.
-            instructions.append(
-                (INTRODUCE, node.vertex, position, neighbour_positions),
+            instruction = (INTRODUCE, node.vertex, position, neighbour_positions)
+            checks = tuple(
+                (
+                    number,
+                    scope.index(vertex_index),
+                    tuple(child_order.index(u) for u in scope if u != vertex_index),
+                )
+                for number, scope in enumerate(scopes)
+                if vertex_index in scope
+                and all(u in child_bag_indices for u in scope if u != vertex_index)
             )
+            instructions.append(instruction + (checks,) if checks else instruction)
         elif node.kind == "forget":
             drop = bag_order(node.children[0].bag).index(encode(node.vertex))
             instructions.append((FORGET, drop))
@@ -126,6 +153,7 @@ def run_tape(
     target: Graph,
     allowed: Mapping[Vertex, frozenset] | None = None,
     backend: str = "auto",
+    relations: Sequence[Mapping[tuple, int]] = (),
 ) -> int:
     """Evaluate a compiled tape of decomposition width ``width`` against
     ``target``.
@@ -135,6 +163,13 @@ def run_tape(
     ``'python'`` pins the pure tape (the oracle), ``'numpy'`` pins the
     vectorised tape.  A numpy run that could leave int64 falls back to the
     pure tape — results are exact on every tier.
+
+    ``relations[i]`` is the table of the tape's ``i``-th relation (see
+    :func:`compile_tape`), indexed like neighbourhood bitsets: it maps
+    the images (target indices) of all but the last vertex of its scope,
+    in scope order, to the bitset of images it allows the last vertex.
+    Absent keys allow nothing.  A tape given relations runs the pure
+    loop on every tier: the vectorised tape has no relation check.
     """
     if target.num_vertices() == 0:
         return 0
@@ -144,6 +179,8 @@ def run_tape(
     else:
         encode_mask = indexed_target.codec.encode_mask
         masks = {vertex: encode_mask(pool) for vertex, pool in allowed.items()}
+    if relations:
+        return _run_python(instructions, indexed_target, masks, relations)
 
     # Imported lazily so that importing the counting layers (and the
     # service on top of them) does not load the kernel package.
@@ -158,22 +195,50 @@ def run_tape(
             )
         except kernel.KernelUnsupported as exc:
             kernel.note_fallback("dp", exc.reason)
-    return _run_python(instructions, indexed_target, masks)
+    return _run_python(instructions, indexed_target, masks, relations)
 
 
-def _run_python(instructions, indexed_target, masks) -> int:
+def _run_python(instructions, indexed_target, masks, relations=()) -> int:
     """The pure-Python tape loop — the differential oracle.  ``masks``
-    maps a pattern vertex label to its encoded candidate bitset."""
+    maps a pattern vertex label to its encoded candidate bitset.
+
+    A relation check narrows the candidate pool like a neighbour does:
+    the relation, keyed by the images of the rest of its scope, gives
+    the bitset of images it allows the introduced vertex.  A check on a
+    vertex other than the scope's last re-indexes the relation once."""
     target_bits = indexed_target.bitsets()
     full_pool = (1 << indexed_target.n) - 1
     stack: list[dict[tuple, int]] = []
+    slot_indexes: dict[tuple[int, int], Mapping[tuple, int]] = {}
+
+    def slot_index(number: int, slot: int, arity: int) -> Mapping[tuple, int]:
+        if slot == arity - 1:
+            return relations[number]
+        index = slot_indexes.get((number, slot))
+        if index is None:
+            index = {}
+            for rest, pool in relations[number].items():
+                while pool:
+                    low_bit = pool & -pool
+                    pool ^= low_bit
+                    row = rest + (low_bit.bit_length() - 1,)
+                    key = row[:slot] + row[slot + 1:]
+                    index[key] = index.get(key, 0) | (1 << row[slot])
+            slot_indexes[(number, slot)] = index
+        return index
 
     for instruction in instructions:
         op = instruction[0]
         if op == LEAF:
             stack.append({(): 1})
         elif op == INTRODUCE:
-            _, vertex, position, neighbour_positions = instruction
+            vertex, position, neighbour_positions = instruction[1:4]
+            checks = [
+                (slot_index(number, slot, len(positions) + 1), positions)
+                for number, slot, positions in (
+                    instruction[4] if len(instruction) > 4 else ()
+                )
+            ]
             base_pool = (
                 full_pool if masks is None else masks.get(vertex, full_pool)
             )
@@ -182,6 +247,9 @@ def _run_python(instructions, indexed_target, masks) -> int:
                 pool = base_pool
                 for pos in neighbour_positions:
                     pool &= target_bits[key[pos]]
+                if checks:
+                    for index, positions in checks:
+                        pool &= index.get(tuple([key[p] for p in positions]), 0)
                 while pool:
                     low_bit = pool & -pool
                     pool ^= low_bit

@@ -1,7 +1,7 @@
 """Counting and enumerating answers to conjunctive queries.
 
 ``Ans((H, X), G)`` is the set of assignments ``a : X → V(G)`` extendable to
-a homomorphism ``H → G`` (Definition 8).  Three counting routes:
+a homomorphism ``H → G`` (Definition 8).  Three counting routes live here:
 
 1. brute force — enumerate candidate assignments, check extendability by
    backtracking (the reference implementation);
@@ -15,6 +15,16 @@ a homomorphism ``H → G`` (Definition 8).  Three counting routes:
    multiplicities.  This is the computational content of the paper's upper
    bound: answers are a finite linear combination of homomorphism counts
    from graphs of treewidth ≤ ew(H, X).
+
+The fourth route, and the one the service's ``auto`` method takes for
+non-Boolean queries, is the engine's
+:class:`~repro.engine.plans.AnswerPlan`
+(:meth:`~repro.engine.HomEngine.answer_count_detailed`): it counts on the
+counting-minimal core at the semantic extension width — one 0/1 table per
+existential component, checked in one treewidth-DP pass over the contract
+``Γ(H, X)[X]`` (Corollary 4's construction) — and caches the answer count
+per core and target.  Direct enumeration and interpolation stay as
+independent oracles.
 
 Colour-restricted answer sets (Definition 36: ``Ans_τ``) and
 colour-prescribed answers (Definition 48: ``cpAns``) are also provided; they
@@ -232,23 +242,33 @@ def count_answers_by_interpolation(
     target: Graph,
     method: str = "auto",
     max_distinct: int | None = None,
+    engine=None,
+    target_id: tuple | None = None,
 ) -> int:
     """``|Ans|`` from homomorphism counts of ℓ-copies alone (Lemma 22).
 
     The solver half lives in :func:`count_answers_from_power_sums`; this
-    wrapper feeds it the engine-backed power sums of ``(query, target)``.
+    wrapper feeds it the engine-backed power sums of ``(query, target)``,
+    counted on ``engine`` (a :class:`~repro.engine.HomEngine`) under the
+    target key ``target_id`` when one is given, else as
+    :func:`hom_count_of_ell_copy` counts them.
     """
+
+    def count(pattern: Graph) -> int:
+        if engine is None:
+            return count_homomorphisms(pattern, target, method=method)
+        return engine.count(pattern, target, target_id=target_id)
+
     if query.is_full():
         # No existential variables: answers are homomorphisms.
-        return count_homomorphisms(query.graph, target, method=method)
+        return count(query.graph)
     if not query.free_variables:
         raise QueryError(
             "interpolation requires at least one free variable; Boolean "
             "queries reduce to homomorphism existence",
         )
     return count_answers_from_power_sums(
-        lambda ell: hom_count_of_ell_copy(query, target, ell, method=method),
-        max_distinct=max_distinct,
+        lambda ell: count(ell_copy(query, ell)[0]), max_distinct=max_distinct,
     )
 
 
@@ -264,7 +284,8 @@ def count_answers_from_power_sums(
     multiplicities ``m_i ≥ 1``, then:
 
     1. find ``d`` = number of distinct sizes via exact Hankel rank;
-    2. recover the sizes as the integer roots of the Prony polynomial;
+    2. recover the sizes as the integer roots of the Prony polynomial
+       (integer Newton steps from ``⌊p_{2d}^{1/2d}⌋`` down);
     3. solve a Vandermonde system for the multiplicities;
     4. ``|Ans| = Σ_i m_i``.
 
@@ -317,20 +338,14 @@ def count_answers_from_power_sums(
     ]
     rhs = [power_sums[distinct + i] for i in range(distinct)]
     coefficients = solve_linear_system_exact(matrix, rhs)
+    # Π(λ − x_i) has integer coefficients, so the roots are found in
+    # integers alone.  Every size obeys m_i x_i^{2d} <= p_{2d}.
+    if any(coefficient.denominator != 1 for coefficient in coefficients):
+        raise AssertionError("Prony coefficients must be integers")
+    bound = min(p1, _integer_root(power_sums[2 * distinct - 1], 2 * distinct))
+    roots = _distinct_positive_roots([int(c) for c in coefficients], bound)
 
-    def poly(value: int) -> Fraction:
-        total = Fraction(value) ** distinct
-        for j, coefficient in enumerate(coefficients):
-            total -= coefficient * Fraction(value) ** j
-        return total
-
-    roots = [x for x in range(1, p1 + 1) if poly(x) == 0]
-    if len(roots) != distinct:
-        raise AssertionError(
-            f"expected {distinct} integer roots, found {len(roots)}",
-        )
-
-    vandermonde = [[Fraction(x) ** ell for x in roots] for ell in range(1, distinct + 1)]
+    vandermonde = [[x ** ell for x in roots] for ell in range(1, distinct + 1)]
     multiplicities = solve_linear_system_exact(
         vandermonde, power_sums[:distinct],
     )
@@ -340,6 +355,61 @@ def count_answers_from_power_sums(
             raise AssertionError("multiplicities must be non-negative integers")
         total += multiplicity
     return int(total)
+
+
+def _integer_root(value: int, k: int) -> int:
+    """``⌊value^{1/k}⌋`` for ``value >= 0``, in integers (power sums
+    overflow floats)."""
+    low, high = 0, 1 << (value.bit_length() // k + 1)
+    while low < high:
+        middle = (low + high + 1) // 2
+        if middle ** k <= value:
+            low = middle
+        else:
+            high = middle - 1
+    return low
+
+
+def _horner(polynomial: list[int], x: int) -> int:
+    value = 0
+    for coefficient in polynomial:
+        value = value * x + coefficient
+    return value
+
+
+def _distinct_positive_roots(coefficients: list[int], bound: int) -> list[int]:
+    """The roots of ``λ^d − Σ_j c_j λ^j`` (``coefficients[j] = c_j``),
+    which must be ``d`` distinct integers in ``1..bound``; largest first.
+
+    Newton's method from above, in integers: above the largest root
+    ``r`` the polynomial and its derivative are positive and
+    ``P/P' >= (x − r)/d``, so the floored step never passes ``r`` and
+    shrinks ``x − r`` geometrically.  Each root found is divided out,
+    and the search for the next one starts just below it.
+    """
+    polynomial = [1] + [-c for c in reversed(coefficients)]  # high → low
+    roots: list[int] = []
+    x = bound
+    while len(polynomial) > 1:
+        degree = len(polynomial) - 1
+        slope = [c * (degree - i) for i, c in enumerate(polynomial[:-1])]
+        value = _horner(polynomial, x)
+        while value:
+            derivative = _horner(slope, x)
+            if value < 0 or derivative <= 0 or x <= 1:
+                raise AssertionError(
+                    f"expected {len(coefficients)} distinct integer roots "
+                    f"in 1..{bound}, found {len(roots)}",
+                )
+            x -= max(value // derivative, 1)
+            value = _horner(polynomial, x)
+        roots.append(x)
+        quotient = [polynomial[0]]
+        for coefficient in polynomial[1:-1]:
+            quotient.append(coefficient + quotient[-1] * x)
+        polynomial = quotient
+        x -= 1
+    return roots
 
 
 def hom_combination_for_answers(

@@ -248,3 +248,54 @@ class TestMixedKindUpdates:
             session.update(name, **self.VALID[name], **self.FOREIGN[name])
         assert excinfo.value.code == "bad-request"
         assert session.update(name, **self.VALID[name]) == 1
+
+
+class TestAnswerRoutes:
+    """Every answer-count method runs on the executor's own engine."""
+
+    def test_interpolation_counts_on_the_pinned_engine(self):
+        from repro.api import LocalExecutor
+        from repro.engine import HomEngine
+        from repro.queries.answers import count_answers_direct
+
+        query = parse_query(TEXT)
+        host = random_graph(12, 0.3, seed=4)
+        pinned, default = HomEngine(), HomEngine()
+        set_default_engine(default)
+        value = LocalExecutor(engine=pinned).answer_count(
+            query, host, method="interpolation",
+        )
+        assert value == count_answers_direct(query, host)
+        # Every power sum is one engine count, all of them on the pinned
+        # engine: p_1 .. p_{2d+2} for the d distinct extension sizes.
+        assert pinned.counts_executed >= 4
+        assert pinned.counts_executed == pinned.stats.count_misses
+        assert default.counts_executed == 0
+
+    def test_auto_runs_the_answer_plan(self, host):
+        from repro.api import LocalExecutor
+        from repro.engine import HomEngine
+
+        session = Session(LocalExecutor(engine=HomEngine()))
+        session.register("hosts", host)
+        first = session.run(AnswerCountTask(TEXT, "hosts"))
+        again = session.run(AnswerCountTask(TEXT, "hosts"))
+        assert first.value == again.value == count_answers(parse_query(TEXT), host)
+        assert first.backend.startswith("answer-plan(core=3, sew=2, tables=1)/")
+        assert "answer-plan(core=3, sew=2, tables=1)" in first.explain()
+        assert (first.cached, again.cached) == (False, True)
+        boolean = session.run(AnswerCountTask("q() :- E(x, y)", "hosts"))
+        assert (boolean.backend, boolean.cached) == ("direct", False)
+
+    def test_dataset_answers_key_on_the_dataset_target_id(self, host):
+        from repro.api import LocalExecutor
+        from repro.engine import HomEngine
+
+        engine = HomEngine()
+        session = Session(LocalExecutor(engine=engine))
+        session.register("hosts", host)
+        value = session.run(AnswerCountTask(TEXT, "hosts")).value
+        serving = session.registry.get("hosts", kind="graph").serving
+        assert engine.answer_count_detailed(
+            parse_query(TEXT), serving.graph, target_id=serving.target_id,
+        )[:2] == (value, True)

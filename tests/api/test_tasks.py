@@ -53,6 +53,21 @@ class TestConstruction:
         task = AnswerCountTask(parse_query(TEXT), cycle_graph(4))
         assert task.parsed().free_variables == parse_query(TEXT).free_variables
 
+    def test_text_query_is_parsed_once(self, monkeypatch):
+        import repro.queries.parser as parser
+
+        texts = []
+        real = parser.parse_query
+
+        def counting_parse(text, *args, **kwargs):
+            texts.append(text)
+            return real(text, *args, **kwargs)
+
+        monkeypatch.setattr(parser, "parse_query", counting_parse)
+        task = AnswerCountTask(TEXT, cycle_graph(4))
+        assert task.parsed() is task.parsed()
+        assert texts == [TEXT]
+
     def test_unknown_method_rejected(self):
         with pytest.raises(TaskError):
             AnswerCountTask(TEXT, cycle_graph(3), method="quantum")

@@ -154,7 +154,7 @@ class TestClusterServing:
         version is still running on the same worker."""
         host = random_graph(40, 0.15, seed=5)  # seconds of interpolation
         client.register_graph("ryw", host)
-        task = AnswerCountTask(STAR, "ryw")
+        task = AnswerCountTask(STAR, "ryw", method="interpolation")
         submitted = client.stats()["scheduler"]["submitted"]
         first: list[dict] = []
         reader = threading.Thread(target=lambda: first.append(
@@ -192,7 +192,8 @@ class TestClusterServing:
         client.register_graph("once", host)
         before = client.stats()["scheduler"]
         retries = cluster.router._retries_total.value
-        response = client.count_answers(STAR, "once")
+        slow = AnswerCountTask(STAR, "once", method="interpolation")
+        response = client.request("POST", "/count-answers", slow.to_wire())
         assert response["count"] == count_answers_direct(parse_query(STAR), host)
         # Wait until every job a worker took has finished: submitted
         # jobs are either coalesced, executed or failed.

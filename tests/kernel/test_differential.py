@@ -12,8 +12,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro import kernel
 from repro.graphs import Graph, path_graph, random_graph, star_graph
-from repro.homs.brute_force import count_homomorphisms_brute
-from repro.homs.treewidth_dp import count_homomorphisms_dp
+from repro.engine import compile_answer_plan
+from repro.homs.brute_force import count_homomorphisms_brute, enumerate_homomorphisms
+from repro.homs.treewidth_dp import (
+    compile_tape,
+    count_homomorphisms_dp,
+    prepared_pattern,
+    run_tape,
+)
+from repro.queries import parse_query
 from repro.wl.refinement import indexed_colour_partition
 
 pytestmark = pytest.mark.skipif(
@@ -84,6 +91,85 @@ class TestDPTape:
             lambda: count_homomorphisms_dp(pattern, target, allowed=allowed),
         )
         assert oracle == vectorised
+
+
+class TestRelationChecks:
+    """Tapes that check 0/1 relations at INTRODUCE, as the answer plan's
+    component tables are checked.  Such a tape runs the pure loop on
+    either tier, so a filtered enumeration is the oracle here."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(pattern=patterns(max_vertices=5), target=targets(max_vertices=20),
+           data=st.data())
+    def test_random_relations_agree_with_a_filtered_enumeration(
+        self, pattern, target, data,
+    ):
+        n = target.num_vertices()
+        if n == 0:
+            return
+        # Scopes are edges and vertices of the pattern (cliques, so each
+        # fits one bag), in either order: checks land on every slot.
+        scopes = [
+            tuple(data.draw(st.permutations(edge)))
+            for edge in pattern.edges()[:2]
+        ] + [(pattern.vertices()[-1],)]
+        pools = st.integers(min_value=0, max_value=(1 << n) - 1)
+        relations = [
+            {
+                rest: data.draw(pools)
+                for rest in (
+                    [(a,) for a in range(n)] if len(scope) == 2 else [()]
+                )
+            }
+            for scope in scopes
+        ]
+        tape = compile_tape(pattern, prepared_pattern(pattern), scopes)
+        width = prepared_pattern(pattern).width()
+        oracle, vectorised = both_backends(
+            lambda: run_tape(tape, width, target, relations=relations),
+        )
+        encode = target.to_indexed().codec.encode
+
+        def passes(hom):
+            for scope, relation in zip(scopes, relations):
+                images = [encode(hom[v]) for v in scope]
+                if not relation.get(tuple(images[:-1]), 0) >> images[-1] & 1:
+                    return False
+            return True
+
+        expected = sum(
+            1 for hom in enumerate_homomorphisms(pattern, target) if passes(hom)
+        )
+        assert oracle == vectorised == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(text=st.sampled_from([
+        "q(x) :- E(x, y)",
+        "q(x1, x2) :- E(x1, x2), E(x1, y), E(x2, y)",
+        "q(x1, x2, x3) :- E(x1, y), E(x2, y), E(x3, y)",
+        "q(x1, x2, x3) :- E(x1, y1), E(y1, y2), E(y2, x2), E(y2, x3)",
+        "q(x1, x2, x3) :- E(x1, y1), E(x2, y1), E(x2, y2), E(x3, y2)",
+    ]), target=targets(max_vertices=36))
+    def test_answer_plan_tiers_agree(self, text, target):
+        plan = compile_answer_plan(parse_query(text))
+        oracle, vectorised = both_backends(lambda: plan.execute(target))
+        assert oracle == vectorised
+
+    def test_relation_checks_run_the_pure_tape(self, monkeypatch):
+        from repro.kernel import dp_numpy
+
+        plan = compile_answer_plan(parse_query("q(x1, x2) :- E(x1, y), E(x2, y)"))
+        target = random_graph(40, 0.3, seed=3)
+        with kernel.force_backend("python"):
+            oracle = plan.execute(target)
+
+        def vectorised(*args, **kwargs):
+            raise AssertionError("a tape with relations reached the numpy tier")
+
+        monkeypatch.setattr(dp_numpy, "execute_tape", vectorised)
+        with kernel.force_backend("numpy"):
+            assert plan.execute(target) == oracle
+        assert plan.describe_for(target).endswith("/python")
 
 
 class TestBruteBitsets:

@@ -7,6 +7,8 @@ runs in milliseconds; hypothesis explores the space.
 
 from hypothesis import given, settings, strategies as st
 
+from repro.api import LocalExecutor
+from repro.engine import HomEngine
 from repro.graphs import Graph, are_isomorphic, canonical_key, complement
 from repro.graphs.operations import tensor_product
 from repro.homs import (
@@ -63,6 +65,16 @@ def queries(draw, max_vertices=5):
     vertices = graph.vertices()
     num_free = draw(st.integers(min_value=1, max_value=len(vertices)))
     free = vertices[:num_free]
+    return ConjunctiveQuery(graph, free)
+
+
+@st.composite
+def any_queries(draw, max_vertices=5):
+    """Non-Boolean queries of any shape: disconnected, with isolated free
+    or existential variables, all-existential components, and cores
+    that are full or fold existential variables away."""
+    graph = draw(graphs(max_vertices=max_vertices, min_vertices=1))
+    free = draw(st.lists(st.sampled_from(graph.vertices()), min_size=1, unique=True))
     return ConjunctiveQuery(graph, free)
 
 
@@ -155,10 +167,14 @@ def test_tensor_multiplicativity(pattern, first, second):
 # ----------------------------------------------------------------------
 # query invariants
 # ----------------------------------------------------------------------
-@settings(max_examples=20, deadline=None)
-@given(queries(max_vertices=4), graphs(max_vertices=4))
+@settings(max_examples=40, deadline=None)
+@given(any_queries(max_vertices=5), graphs(max_vertices=5))
 def test_answer_counting_methods_agree(query, target):
-    assert count_answers(query, target) == count_answers_by_projection(query, target)
+    expected = count_answers(query, target)
+    assert count_answers_by_projection(query, target) == expected
+    executor = LocalExecutor(engine=HomEngine())
+    for method in ("direct", "interpolation", "auto"):
+        assert executor.answer_count(query, target, method=method) == expected, method
 
 
 @settings(max_examples=20, deadline=None)

@@ -176,6 +176,30 @@ class TestInterpolation:
         assert count_answers_by_interpolation(q, g) == count_answers(q, g) == 25
 
 
+class TestPronySolver:
+    def test_power_sums_beyond_float_range_solve_exactly(self):
+        from repro.queries import count_answers_from_power_sums
+
+        profile = {10 ** 150 + 7: 3, 10 ** 40: 4, 5: 2}  # size -> multiplicity
+
+        def fetch(ell):
+            return sum(m * size ** ell for size, m in profile.items())
+
+        assert fetch(6) > 2 ** 1024  # p_{2d} overflows a float
+        assert count_answers_from_power_sums(fetch) == 9
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_recorded_profiles_solve_exactly(self, seed):
+        from repro.queries import count_answers_from_power_sums
+
+        q = star_query(2)
+        g = random_graph(12, 0.4, seed=seed)
+        sizes = extension_counts(q, g)
+        assert count_answers_from_power_sums(
+            lambda ell: sum(x ** ell for x in sizes),
+        ) == len(sizes)
+
+
 class TestObservation23:
     """The answer count as an explicit rational combination of
     bounded-treewidth homomorphism counts."""

@@ -68,7 +68,7 @@ class TestEndToEnd:
         text = "q(x1, x2) :- E(x1, y), E(x2, y)"
         response = client.count_answers(text, "g9")
         assert response["count"] == count_answers(parse_query(text), host)
-        assert response["method"] == "interpolation"
+        assert response["method"].startswith("answer-plan(core=3, sew=2, tables=1)")
         assert response["target"] == "g9"
 
     def test_count_answers_boolean(self, client):

@@ -238,7 +238,7 @@ class TestCliJson:
         payload = json.loads(capsys.readouterr().out)
         assert payload["kind"] == "count-answers"
         assert payload["count"] == 25
-        assert payload["method"] == "interpolation"
+        assert payload["method"].startswith("answer-plan(core=3, sew=2, tables=1)")
 
     def test_count_json_batch(self, capsys):
         import json

@@ -13,8 +13,9 @@ The indexed kernel (`repro.graphs.indexed`) compiles a graph once into
 CSR arrays + neighbourhood bitsets and lets refinement, the DP, and the
 engine's plans compute entirely over ints.  This bench runs a mixed
 WL-refinement + DP-counting workload on rich-label hosts through both
-paths (the seed implementations are embedded below, verbatim from the
-seed tree) and gates the kernel at >= 3x overall.
+paths (the seed implementations are embedded below, the seed DP with
+the seed's nice tree decomposition) and gates the kernel at >= 3x
+overall.
 
 On top of that sits the vectorised tier (`repro.kernel`): the DP
 instruction tape lowered to batched int64 ndarray steps, and colour
@@ -30,6 +31,8 @@ gates.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass, field
+from typing import Optional
 
 import pytest
 
@@ -43,6 +46,7 @@ from repro.graphs import (
     random_tree,
 )
 from repro.homs import count_homomorphisms_dp, prepared_pattern
+from repro.treewidth import TreeDecomposition
 from repro.wl import colour_refinement, wl_1_equivalent
 from repro.wl.refinement import indexed_colour_partition
 
@@ -108,6 +112,74 @@ def seed_wl_1_equivalent(first, second):
         if len(set(colours_a.values()) | set(colours_b.values())) == num_classes:
             break
     return True
+
+
+@dataclass
+class SeedNiceNode:
+    """One node of the seed's nice tree decomposition."""
+
+    kind: str  # 'leaf' | 'introduce' | 'forget' | 'join'
+    bag: frozenset
+    children: list = field(default_factory=list)
+    vertex: Optional[object] = None
+
+    def iter_postorder(self):
+        stack = [(self, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if expanded:
+                yield node
+            else:
+                stack.append((node, True))
+                for child in node.children:
+                    stack.append((child, False))
+
+
+def _seed_chain_between(node, source_bag, target_bag):
+    current = set(source_bag)
+    for vertex in sorted(source_bag - target_bag, key=repr):
+        current.remove(vertex)
+        node = SeedNiceNode("forget", frozenset(current), [node], vertex)
+    for vertex in sorted(target_bag - source_bag, key=repr):
+        current.add(vertex)
+        node = SeedNiceNode("introduce", frozenset(current), [node], vertex)
+    return node
+
+
+def seed_nice_tree_decomposition(decomposition: TreeDecomposition):
+    """The seed's nice tree (empty root bag): every child chain forgets
+    down to and re-introduces up to its parent's whole bag, and
+    branches meet in JOINs of equal bags."""
+    tree, bags = decomposition.tree, decomposition.bags
+    root_id = next(iter(bags))
+    parent, order, frontier = {root_id: None}, [root_id], [root_id]
+    while frontier:
+        current = frontier.pop()
+        for neighbour in tree.neighbours(current):
+            if neighbour not in parent:
+                parent[neighbour] = current
+                order.append(neighbour)
+                frontier.append(neighbour)
+    children_of = {node: [] for node in bags}
+    for node, up in parent.items():
+        if up is not None:
+            children_of[up].append(node)
+    converted = {}
+    for node in reversed(order):
+        bag = bags[node]
+        chains = [
+            _seed_chain_between(converted[child], bags[child], bag)
+            for child in children_of[node]
+        ]
+        if not chains:
+            chains = [_seed_chain_between(
+                SeedNiceNode("leaf", frozenset()), frozenset(), bag,
+            )]
+        combined = chains[0]
+        for chain in chains[1:]:
+            combined = SeedNiceNode("join", bag, [combined, chain])
+        converted[node] = combined
+    return _seed_chain_between(converted[root_id], bags[root_id], frozenset())
 
 
 def _seed_bag_order(bag):
@@ -209,8 +281,10 @@ def wl_workload():
 
 
 def dp_workload():
-    """(name, pattern, root, targets) — low-treewidth patterns against
-    rich-label hosts, visited twice (indistinguishability access shape)."""
+    """(name, pattern, decomposition, targets) — low-treewidth patterns
+    against rich-label hosts, visited twice (indistinguishability access
+    shape).  The seed DP runs the seed's nice tree of the same optimal
+    decomposition."""
     hosts = [rich_host(17, 0.35, seed=400 + i) for i in range(4)]
     patterns = [grid_graph(2, 3), random_tree(9, seed=11)]
     return [
@@ -294,18 +368,18 @@ def run_numpy_section(rows):
 
     # --- treewidth-DP tapes ----------------------------------------------
     for name, pattern, hosts in numpy_dp_workload():
-        root = prepared_pattern(pattern)
+        decomposition = prepared_pattern(pattern)
         with kernel.force_backend("python"):
             start = time.perf_counter()
             expected = [
-                count_homomorphisms_dp(pattern, host, root=root)
+                count_homomorphisms_dp(pattern, host, decomposition=decomposition)
                 for host in hosts
             ]
             python_time = time.perf_counter() - start
         with kernel.force_backend("numpy"):
             start = time.perf_counter()
             got = [
-                count_homomorphisms_dp(pattern, host, root=root)
+                count_homomorphisms_dp(pattern, host, decomposition=decomposition)
                 for host in hosts
             ]
             numpy_time = time.perf_counter() - start
@@ -360,14 +434,15 @@ def run_experiment() -> float:
     )
 
     # --- treewidth-DP counting -------------------------------------------
-    for name, pattern, root, targets in dp_workload():
+    for name, pattern, decomposition, targets in dp_workload():
+        root = seed_nice_tree_decomposition(decomposition)
         start = time.perf_counter()
         expected = [seed_count_dp(pattern, target, root) for target in targets]
         seed_time = time.perf_counter() - start
 
         start = time.perf_counter()
         got = [
-            count_homomorphisms_dp(pattern, target, root=root)
+            count_homomorphisms_dp(pattern, target, decomposition=decomposition)
             for target in targets
         ]
         indexed_time = time.perf_counter() - start
@@ -427,13 +502,14 @@ def test_bench_wl(benchmark, index):
     "index", range(len(dp_workload())), ids=[n for n, _, _, _ in dp_workload()],
 )
 def test_bench_dp(benchmark, index):
-    _, pattern, root, targets = dp_workload()[index]
+    _, pattern, decomposition, targets = dp_workload()[index]
     result = benchmark(
         lambda: [
-            count_homomorphisms_dp(pattern, target, root=root)
+            count_homomorphisms_dp(pattern, target, decomposition=decomposition)
             for target in targets
         ],
     )
+    root = seed_nice_tree_decomposition(decomposition)
     assert result == [seed_count_dp(pattern, target, root) for target in targets]
 
 

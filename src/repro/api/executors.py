@@ -164,11 +164,11 @@ class Executor:
     # ------------------------------------------------------------------
     def _run_query_analysis(self, task: Task) -> Result:
         from repro.core.wl_dimension import analyse_query, wl_dimension
-        from repro.queries.parser import format_query, parse_query
+        from repro.queries.parser import format_query
 
         sp = span(f"task.{task.kind}", executor=self.name)
         with sp:
-            query = parse_query(task.query)
+            query = task.parsed()
             logic = format_query(query, style="logic")
             if isinstance(task, WlDimensionTask):
                 value: object = wl_dimension(query)

@@ -158,7 +158,35 @@ class HomCountTask(Task):
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class AnswerCountTask(Task):
+class _QueryTask(Task):
+    """A task over one conjunctive query, given as text or as a
+    :class:`~repro.queries.query.ConjunctiveQuery`."""
+
+    query: str
+
+    def __init__(self, query) -> None:
+        text, parsed = _normalise_query_text(query)
+        object.__setattr__(self, "query", text)
+        if parsed is not None:
+            object.__setattr__(self, "_parsed", parsed)
+
+    def parsed(self):
+        """The parsed :class:`ConjunctiveQuery` (memoised; text input
+        keeps the parse that validated it)."""
+        parsed = self.__dict__.get("_parsed")
+        if parsed is None:
+            from repro.queries.parser import parse_query
+
+            parsed = parse_query(self.query)
+            object.__setattr__(self, "_parsed", parsed)
+        return parsed
+
+    def describe(self) -> str:
+        return repr(self.query)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class AnswerCountTask(_QueryTask):
     """``|Ans((H, X), target)|`` for a conjunctive query.
 
     ``method`` selects the counting route: ``'direct'`` enumerates,
@@ -173,30 +201,15 @@ class AnswerCountTask(Task):
 
     kind: ClassVar[str] = "answer-count"
 
-    query: str
     target: object  # str (dataset name) or Graph
     method: str = "auto"
 
     def __init__(self, query, target, method: str = "auto") -> None:
         if method not in _ANSWER_METHODS:
             raise TaskError(f"unknown answer-count method {method!r}")
-        text, parsed = _normalise_query_text(query)
-        object.__setattr__(self, "query", text)
-        if parsed is not None:
-            object.__setattr__(self, "_parsed", parsed)
+        super().__init__(query)
         object.__setattr__(self, "target", _normalise_graph_target(target))
         object.__setattr__(self, "method", method)
-
-    def parsed(self):
-        """The parsed :class:`ConjunctiveQuery` (memoised; text input
-        keeps the parse that validated it)."""
-        parsed = self.__dict__.get("_parsed")
-        if parsed is None:
-            from repro.queries.parser import parse_query
-
-            parsed = parse_query(self.query)
-            object.__setattr__(self, "_parsed", parsed)
-        return parsed
 
     def describe(self) -> str:
         return f"{self.query!r} on {_target_brief(self.target)}"
@@ -238,34 +251,18 @@ class KgAnswerCountTask(Task):
         )
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class WlDimensionTask(Task):
+@dataclass(frozen=True, eq=False, repr=False, init=False)
+class WlDimensionTask(_QueryTask):
     """The WL-dimension of a conjunctive query (Theorem 1)."""
 
     kind: ClassVar[str] = "wl-dimension"
 
-    query: str
 
-    def __init__(self, query) -> None:
-        object.__setattr__(self, "query", _normalise_query_text(query)[0])
-
-    def describe(self) -> str:
-        return repr(self.query)
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class AnalyzeTask(Task):
+@dataclass(frozen=True, eq=False, repr=False, init=False)
+class AnalyzeTask(_QueryTask):
     """The full structural report for a conjunctive query."""
 
     kind: ClassVar[str] = "analyze"
-
-    query: str
-
-    def __init__(self, query) -> None:
-        object.__setattr__(self, "query", _normalise_query_text(query)[0])
-
-    def describe(self) -> str:
-        return repr(self.query)
 
 
 @dataclass(frozen=True, eq=False, repr=False)

@@ -8,9 +8,9 @@ spectrum:
 * :class:`MatrixPlan` — closed-form linear algebra for paths and cycles
   (``|Hom(P_k, G)| = 1ᵀA^{k-1}1``, ``|Hom(C_k, G)| = trace(A^k)``);
 * :class:`DPPlan` — the treewidth DP of :mod:`repro.homs.treewidth_dp`,
-  with the nice tree decomposition *and* all per-node bag bookkeeping
-  (vertex positions, neighbour positions) compiled once into the flat
-  instruction tape that ``count_homomorphisms_dp`` also runs;
+  with the tree decomposition *and* all per-bag bookkeeping (vertex
+  positions, neighbour and separator positions) compiled once into the
+  flat instruction tape that ``count_homomorphisms_dp`` also runs;
 * :class:`BrutePlan` — backtracking, still the right answer for tiny or
   dense patterns where decomposition buys nothing.
 
@@ -35,7 +35,8 @@ from repro.engine.cache import pattern_key
 from repro.graphs.graph import Graph, Vertex
 from repro.graphs.matrices import count_closed_walks, count_walks
 from repro.homs.brute_force import count_homomorphisms_brute, exists_homomorphism
-from repro.homs.treewidth_dp import compile_tape, prepared_pattern, run_tape
+from repro.homs.treewidth_dp import INTRODUCE, compile_tape, run_tape
+from repro.treewidth.exact import optimal_tree_decomposition, treewidth
 from repro.treewidth.heuristics import heuristic_treewidth_upper_bound
 
 PlanKind = Literal["constant", "brute", "matrix", "dp", "answer"]
@@ -137,9 +138,11 @@ class MatrixPlan(CountPlan):
 @dataclass
 class DPPlan(CountPlan):
     """Treewidth DP with a precompiled instruction tape
-    (:func:`repro.homs.treewidth_dp.compile_tape`): execution is one loop
-    over the tape, with no tree traversal and no pattern-side bag
-    bookkeeping per target."""
+    (:func:`repro.homs.treewidth_dp.compile_tape`, compiled from an
+    optimal tree decomposition): execution is one loop over the tape,
+    with no tree traversal and no pattern-side bag bookkeeping per
+    target.  ``node_count`` is the tape's length.  A plan pickled with a
+    tape from an older compiler (equal-bag JOINs only) still runs."""
 
     pattern: Graph
     width: int
@@ -174,11 +177,11 @@ def _dp_tier(target: Graph, width: int) -> str:
 
 def compile_dp_plan(pattern: Graph) -> DPPlan:
     """Compile the treewidth-DP plan (optimal decomposition, flat tape)."""
-    root = prepared_pattern(pattern)
-    instructions = compile_tape(pattern, root)
+    decomposition = optimal_tree_decomposition(pattern)
+    instructions = compile_tape(pattern, decomposition)
     return DPPlan(
         pattern=pattern,
-        width=root.width(),
+        width=decomposition.width,
         node_count=len(instructions),
         instructions=instructions,
     )
@@ -201,7 +204,7 @@ def select_backend(pattern: Graph) -> Literal["brute", "matrix", "dp"]:
     """The treewidth-aware ``method='auto'`` crossover.
 
     Brute force explores at most ``n_G^{n}`` assignments for an
-    ``n``-vertex pattern; the DP costs ``n_G^{tw+1}`` per nice node plus a
+    ``n``-vertex pattern; the DP costs ``n_G^{tw+1}`` per bag plus a
     decomposition.  A cheap greedy upper bound on the treewidth therefore
     settles the choice: the DP wins exactly when it shaves at least one
     exponent level off the search (``tw + 2 <= n``), which routes dense
@@ -261,7 +264,7 @@ class AnswerPlan(CountPlan):
     N(C) ∩ X`` becomes a 0/1 table ``R_C = {a ∈ V(G)^δ : a extends to a
     homomorphism of C's edges}``, built per execution and never cached;
     a component with ``δ = ∅`` is a 0/1 factor.  One run of the
-    treewidth-DP tape over a nice decomposition of the contract
+    treewidth-DP tape over an optimal decomposition of the contract
     ``Γ(core)[X]`` then counts the assignments of ``X`` that respect the
     real edges of ``core[X]`` and every table (Corollary 4's
     construction; variable elimination with relation factors).  ``δ`` is
@@ -374,8 +377,6 @@ def compile_answer_plan(
     """
     from repro.queries.extension import extension_graph
     from repro.queries.minimality import counting_minimal_core
-    from repro.treewidth.exact import optimal_tree_decomposition, treewidth
-    from repro.treewidth.nice import nice_tree_decomposition
 
     core = counting_minimal_core(query)
     graph = core.graph
@@ -400,23 +401,27 @@ def compile_answer_plan(
     plan.factors = tuple(pattern for pattern, _ in factors)
     if not free:
         return plan
-    root = nice_tree_decomposition(
-        optimal_tree_decomposition(gamma.induced_subgraph(free)),
+    # The tape checks the edges of core[X] over a decomposition of the
+    # contract, whose cliques on each δ keep every scope inside a bag.
+    decomposition = optimal_tree_decomposition(gamma.induced_subgraph(free))
+    core_free = graph.induced_subgraph(free)
+    scopes = [
+        tuple(v for v in free if v in attachment) for _, attachment in attached
+    ]
+    # The vertex of the first INTRODUCE that checks a table goes last in
+    # its scope: the table is indexed by that slot already.
+    last: dict[int, Vertex] = {}
+    for instruction in compile_tape(core_free, decomposition, scopes):
+        if instruction[0] == INTRODUCE and len(instruction) > 4:
+            for number, _, _ in instruction[4]:
+                last.setdefault(number, instruction[1])
+    scopes = [
+        tuple(v for v in scope if v != last[number]) + (last[number],)
+        for number, scope in enumerate(scopes)
+    ]
+    plan.tables = tuple(
+        (pattern, scope) for (pattern, _), scope in zip(attached, scopes)
     )
-    introduces = [node for node in root.iter_postorder() if node.kind == "introduce"]
-    tables = []
-    for pattern, attachment in attached:
-        # The vertex of the first INTRODUCE that checks the table goes
-        # last in its scope: the table is indexed by that slot already.
-        last = next(
-            node.vertex for node in introduces
-            if node.vertex in attachment and attachment <= node.bag
-        )
-        scope = tuple(v for v in free if v in attachment and v != last)
-        tables.append((pattern, scope + (last,)))
-    plan.tables = tuple(tables)
-    plan.width = root.width()
-    plan.instructions = compile_tape(
-        graph.induced_subgraph(free), root, [scope for _, scope in tables],
-    )
+    plan.width = decomposition.width
+    plan.instructions = compile_tape(core_free, decomposition, scopes)
     return plan

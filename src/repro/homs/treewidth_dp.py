@@ -1,7 +1,7 @@
-"""Homomorphism counting by dynamic programming over a nice tree
-decomposition of the pattern.
+"""Homomorphism counting by dynamic programming over a tree decomposition
+of the pattern.
 
-Running time ``O(#nodes · |V(G)|^{tw(H)+1})`` — the classical algorithm that
+Running time ``O(#bags · |V(G)|^{tw(H)+1})`` — the classical algorithm that
 makes Definition 19 usable: homomorphism counts from low-treewidth patterns
 are polynomial-time computable, which is exactly why k-WL-equivalence is
 decidable via them.
@@ -10,9 +10,10 @@ Supports the same ``allowed`` restriction as the brute-force counter, so
 colour-prescribed homomorphism counts (Definitions 30/48) inherit the
 treewidth-parameterised running time.
 
-This module is the library's one treewidth DP.  A decomposition is lowered
-once to a flat *instruction tape* (:func:`compile_tape`), and
-:func:`run_tape` evaluates the tape against a target on one of two tiers:
+This module is the library's one treewidth DP.  A
+:class:`~repro.treewidth.decomposition.TreeDecomposition` is lowered once
+to a flat *instruction tape* (:func:`compile_tape`), and :func:`run_tape`
+evaluates the tape against a target on one of two tiers:
 
 * the pure-Python loop below — DP tables keyed by tuples of *target
   indices* (the :class:`~repro.graphs.indexed.IndexedGraph` encoding),
@@ -22,38 +23,49 @@ once to a flat *instruction tape* (:func:`compile_tape`), and
   ndarray tables, picked by the kernel cost model, which falls back to the
   pure loop whenever int64 could overflow.
 
+The tape is variable elimination over the decomposition: each bag builds
+its table from its children's tables, which are over their *separators*
+(the vertices a child shares with its bag).  A child joins as soon as the
+bag built so far covers its separator, so no branch re-introduces the
+vertices of the bag above it.
+
 A tape may also check *relations*: 0/1 tables over tuples of pattern
 vertices, given per run (:class:`repro.engine.plans.AnswerPlan` checks one
 table per existential component this way).  INTRODUCE of ``v`` checks
-every relation whose scope contains ``v`` and lies inside the new bag.
-Tables are 0/1, so checking one at several INTRODUCEs is still exact; a
-scope that is a clique of the decomposed graph lies in some bag, and the
-last of its vertices introduced below that bag checks it.  Only the pure
-loop checks relations.
+every relation whose scope contains ``v`` and lies inside the bag built
+so far.  Tables are 0/1, so checking one at several INTRODUCEs is still
+exact; a scope that is a clique of the decomposed graph lies in some bag,
+and the INTRODUCE that completes it there (or in a child it came from)
+checks it.  Only the pure loop checks relations.
 
 :func:`count_homomorphisms_dp` compiles the tape (memoised on the
-decomposition root) and runs it; :class:`repro.engine.plans.DPPlan` keeps a
+decomposition) and runs it; :class:`repro.engine.plans.DPPlan` keeps a
 compiled tape in the engine's plan cache and runs it through the same
 :func:`run_tape`.
 """
 
 from __future__ import annotations
 
+from bisect import insort
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from repro.graphs.graph import Graph, Vertex
+from repro.treewidth.decomposition import TreeDecomposition
 from repro.treewidth.exact import optimal_tree_decomposition
-from repro.treewidth.nice import NiceNode, nice_tree_decomposition
 
-# One instruction per nice-tree node, in postorder: instructions operate on
-# a stack of DP tables (postorder ≡ reverse Polish), so execution is a
-# single loop with no tree traversal.  All pattern-side index arithmetic
-# (bag orders, positions) is resolved at compile time.  Bags are ordered by
-# pattern codec index — a total order, so labels that share a ``repr``
-# cannot collide.
+# Instructions operate on a stack of DP tables in postorder (reverse
+# Polish), so execution is a single loop with no tree traversal.  All
+# pattern-side index arithmetic (bag orders, positions) is resolved at
+# compile time.  A table's key lists the images of its bag in pattern
+# codec order — a total order, so labels that share a ``repr`` cannot
+# collide.
 LEAF = 0
 INTRODUCE = 1  # (INTRODUCE, vertex label, position, neighbour positions[, checks])
 FORGET = 2  # (FORGET, position)
+# (JOIN,) multiplies two tables over the same bag; (JOIN, positions) joins
+# the table on top, over a child's separator, into the bag table below it:
+# ``positions`` are the separator's positions in that bag.
 JOIN = 3
 
 
@@ -61,13 +73,13 @@ def count_homomorphisms_dp(
     pattern: Graph,
     target: Graph,
     allowed: Mapping[Vertex, frozenset] | None = None,
-    root: NiceNode | None = None,
+    decomposition: TreeDecomposition | None = None,
     backend: str = "auto",
 ) -> int:
     """``|Hom(pattern, target)|`` via tree-decomposition DP.
 
-    ``root`` can supply a pre-computed nice decomposition of ``pattern``
-    (useful when counting against many targets, e.g. the WL
+    ``decomposition`` can supply a pre-computed tree decomposition of
+    ``pattern`` (useful when counting against many targets, e.g. the WL
     indistinguishability oracle); otherwise an optimal one is computed.
 
     ``backend`` picks the evaluation tier as in :func:`run_tape`; every
@@ -77,74 +89,167 @@ def count_homomorphisms_dp(
         return 1
     if target.num_vertices() == 0:
         return 0
-    if root is None:
-        root = prepared_pattern(pattern)
-    # Memoise the tape on the decomposition root: repeated calls with a
-    # prepared_pattern() root (the hom-profile access shape) pay the
-    # pattern-side compile once, like DPPlan does.
-    cache = getattr(root, "_tape_cache", None)
+    if decomposition is None:
+        decomposition = prepared_pattern(pattern)
+    # Memoise the tape on the decomposition: repeated calls with a
+    # prepared_pattern() decomposition (the hom-profile access shape) pay
+    # the pattern-side compile once, like DPPlan does.
+    cache = getattr(decomposition, "_tape_cache", None)
     if cache is None or cache[0] is not pattern:
-        cache = (pattern, compile_tape(pattern, root), root.width())
-        root._tape_cache = cache
-    _, instructions, width = cache
-    return run_tape(instructions, width, target, allowed, backend)
+        cache = (pattern, compile_tape(pattern, decomposition))
+        decomposition._tape_cache = cache
+    return run_tape(cache[1], decomposition.width, target, allowed, backend)
 
 
 def compile_tape(
-    pattern: Graph, root: NiceNode, relations: Sequence[tuple] = (),
+    pattern: Graph,
+    decomposition: TreeDecomposition,
+    relations: Sequence[tuple] = (),
 ) -> list[tuple]:
-    """Lower the nice decomposition ``root`` of ``pattern`` to the
-    instruction tape (one instruction per node, postorder).
+    """Lower the tree decomposition ``decomposition`` of ``pattern`` to
+    the instruction tape.
+
+    Bags nested in a neighbour are merged into it, and the tree is rooted
+    at the first bag left.  Each bag starts from the table of its child
+    with the largest separator (LEAF if it has no child), introduces its
+    missing vertices, those with the most neighbours already in the bag
+    first, JOINs each other child as soon as the bag built so far covers
+    that child's separator, and finally FORGETs the vertices its parent's
+    bag lacks (all of them at the root).
 
     ``relations`` lists the scopes (tuples of pattern vertices) of the
     relations the tape checks.  An INTRODUCE that checks some carries a
     fifth field: one ``(relation index, slot of the vertex in the scope,
-    child-bag positions of the rest of the scope)`` triple per relation.
+    positions of the rest of the scope)`` triple per relation.
     """
     indexed_pattern = pattern.to_indexed()
     encode = indexed_pattern.codec.encode
-    pattern_adjacency = indexed_pattern.adjacency_lists()
+    labels = indexed_pattern.codec.labels
+    adjacency = [set(row) for row in indexed_pattern.adjacency_lists()]
     scopes = [tuple(encode(v) for v in scope) for scope in relations]
+    bags, parents, children = _rooted_bags(decomposition, encode)
 
-    def bag_order(bag: frozenset) -> list[int]:
-        return sorted(encode(v) for v in bag)
+    def steps(node: int) -> list:
+        """The bag's instructions; a child's number stands for the
+        child's whole tape, which leaves its table on the stack."""
+        bag = bags[node]
+        above = frozenset() if parents[node] is None else bags[parents[node]]
+        pending = list(children[node])
+        out: list = []
+        order: list[int] = []  # the bag built so far, in codec order
+        if pending:
+            start = max(pending, key=lambda child: len(bags[child] & bag))
+            pending.remove(start)
+            out.append(start)
+            order = sorted(bags[start] & bag)
+        else:
+            out.append((LEAF,))
 
-    instructions: list[tuple] = []
-    for node in root.iter_postorder():
-        if node.kind == "leaf":
-            instructions.append((LEAF,))
-        elif node.kind == "introduce":
-            child_order = bag_order(node.children[0].bag)
-            vertex_index = encode(node.vertex)
-            position = bag_order(node.bag).index(vertex_index)
-            child_bag_indices = set(child_order)
-            neighbour_positions = tuple(
-                child_order.index(u)
-                for u in pattern_adjacency[vertex_index]
-                if u in child_bag_indices
+        def join_covered() -> None:
+            for child in list(pending):
+                separator = sorted(bags[child] & bag)
+                if all(u in order for u in separator):
+                    pending.remove(child)
+                    out.append(child)
+                    out.append(
+                        (JOIN,) if separator == order
+                        else (JOIN, tuple(order.index(u) for u in separator)),
+                    )
+
+        join_covered()
+        missing = set(bag).difference(order)
+        while missing:
+            vertex = min(
+                missing,
+                key=lambda v: (-len(adjacency[v].intersection(order)), v),
             )
-            # The label rides along for ``allowed`` lookups at execute
-            # time; all positional arithmetic is already index-space.
-            instruction = (INTRODUCE, node.vertex, position, neighbour_positions)
+            missing.remove(vertex)
+            neighbours = tuple(
+                position for position, u in enumerate(order)
+                if u in adjacency[vertex]
+            )
             checks = tuple(
                 (
                     number,
-                    scope.index(vertex_index),
-                    tuple(child_order.index(u) for u in scope if u != vertex_index),
+                    scope.index(vertex),
+                    tuple(order.index(u) for u in scope if u != vertex),
                 )
                 for number, scope in enumerate(scopes)
-                if vertex_index in scope
-                and all(u in child_bag_indices for u in scope if u != vertex_index)
+                if vertex in scope
+                and all(u in order for u in scope if u != vertex)
             )
-            instructions.append(instruction + (checks,) if checks else instruction)
-        elif node.kind == "forget":
-            drop = bag_order(node.children[0].bag).index(encode(node.vertex))
-            instructions.append((FORGET, drop))
-        elif node.kind == "join":
-            instructions.append((JOIN,))
-        else:  # pragma: no cover - validate_nice rejects unknown kinds
-            raise AssertionError(f"unknown node kind {node.kind!r}")
+            insort(order, vertex)
+            # The label rides along for ``allowed`` lookups at execute
+            # time; all positional arithmetic is already index-space.
+            instruction = (
+                INTRODUCE, labels[vertex], order.index(vertex), neighbours,
+            )
+            out.append(instruction + (checks,) if checks else instruction)
+            join_covered()
+        for vertex in sorted(bag - above, reverse=True):
+            out.append((FORGET, order.index(vertex)))
+            order.remove(vertex)
+        return out
+
+    # Splice the children's tapes in depth first, iteratively (stack-safe
+    # on deep decompositions).
+    instructions: list[tuple] = []
+    stack = [iter(steps(min(bags)))]
+    while stack:
+        item = next(stack[-1], None)
+        if item is None:
+            stack.pop()
+        elif isinstance(item, tuple):
+            instructions.append(item)
+        else:
+            stack.append(iter(steps(item)))
     return instructions
+
+
+def _rooted_bags(decomposition: TreeDecomposition, encode) -> tuple:
+    """``(bags, parents, children)`` keyed by bag number in decomposition
+    order, bags in codec indices: each bag nested in a neighbour is merged
+    into it, and the tree is rooted at the first bag left (its parent is
+    ``None``)."""
+    ids = list(decomposition.bags)
+    number = {bag_id: i for i, bag_id in enumerate(ids)}
+    bags = {
+        i: frozenset(encode(v) for v in decomposition.bags[bag_id])
+        for i, bag_id in enumerate(ids)
+    }
+    adjacent = {
+        number[bag_id]: {
+            number[other] for other in decomposition.tree.neighbours(bag_id)
+        }
+        for bag_id in ids
+    }
+    # One pass suffices: bags never change, and by the running
+    # intersection property a merge nests no bag in a new neighbour.
+    for node in range(len(ids)):
+        into = min(
+            (other for other in adjacent[node] if bags[node] <= bags[other]),
+            default=None,
+        )
+        if into is None:
+            continue
+        for other in adjacent.pop(node) - {into}:
+            adjacent[other].discard(node)
+            adjacent[other].add(into)
+            adjacent[into].add(other)
+        adjacent[into].discard(node)
+        del bags[node]
+    root = min(bags)
+    parents: dict[int, int | None] = {root: None}
+    children: dict[int, list[int]] = {node: [] for node in bags}
+    frontier = [root]
+    while frontier:
+        node = frontier.pop()
+        for other in sorted(adjacent[node]):
+            if other not in parents:
+                parents[other] = node
+                children[node].append(other)
+                frontier.append(other)
+    return bags, parents, children
 
 
 def run_tape(
@@ -264,7 +369,7 @@ def _run_python(instructions, indexed_target, masks, relations=()) -> int:
                 new_key = key[:drop] + key[drop + 1:]
                 table[new_key] = table.get(new_key, 0) + count
             stack.append(table)
-        else:  # JOIN
+        elif len(instruction) == 1:  # JOIN of two tables over one bag
             left = stack.pop()
             right = stack.pop()
             if len(left) > len(right):
@@ -275,11 +380,32 @@ def _run_python(instructions, indexed_target, masks, relations=()) -> int:
                 if other:
                     table[key] = count * other
             stack.append(table)
+        else:  # JOIN of a child's separator table into the bag table
+            child = stack.pop()
+            positions = instruction[1]
+            if len(positions) == 1:
+                child = {key[0]: count for key, count in child.items()}
+                project = itemgetter(positions[0])
+            elif positions:
+                project = itemgetter(*positions)
+            else:
+                project = _empty_key
+            table = {}
+            for key, count in stack.pop().items():
+                other = child.get(project(key))
+                if other:
+                    table[key] = count * other
+            stack.append(table)
 
     (root_table,) = stack
     return root_table.get((), 0)
 
 
-def prepared_pattern(pattern: Graph) -> NiceNode:
-    """Pre-compute a nice decomposition for repeated counting calls."""
-    return nice_tree_decomposition(optimal_tree_decomposition(pattern))
+def _empty_key(key: tuple) -> tuple:
+    return ()
+
+
+def prepared_pattern(pattern: Graph) -> TreeDecomposition:
+    """An optimal tree decomposition of ``pattern`` for repeated counting
+    calls: :func:`count_homomorphisms_dp` memoises its tape on it."""
+    return optimal_tree_decomposition(pattern)

@@ -19,7 +19,9 @@ batched array steps:
   every code with one radix shift;
 * FORGET — a radix contraction deletes the digit, then a
   sort + ``add.reduceat`` group-by merges collapsed assignments;
-* JOIN — ``intersect1d`` on the two unique code arrays, counts multiply.
+* JOIN — ``intersect1d`` on the two unique code arrays, counts multiply;
+  a separator JOIN digit-extracts each bag code's separator images into
+  a child code and looks it up in the child's sorted codes.
 
 **Exact big-int safety.**  Counts are exact integers; int64 is a speed
 representation, not a semantics change.  Before any step that could
@@ -200,6 +202,34 @@ def _join(state: _Tables, left, right):
     return common, left_hit * right_hit
 
 
+def _join_on(state: _Tables, table, child, positions):
+    """Join ``child``, a table over a separator, into the bag ``table``:
+    ``positions`` are the separator's positions in the bag."""
+    numpy = state.numpy
+    codes, counts = table
+    child_codes, child_counts = child
+    if len(codes) == 0 or len(child_codes) == 0:
+        return state.empty
+    n, radix = state.n, state.radix
+    projected = numpy.zeros(len(codes), dtype=numpy.int64)
+    for slot, position in enumerate(positions):
+        digits = (codes // radix[position]) % n
+        projected += digits * radix[slot]
+    order = numpy.argsort(child_codes, kind="stable")
+    sorted_codes = child_codes[order]
+    found = numpy.minimum(
+        numpy.searchsorted(sorted_codes, projected), len(sorted_codes) - 1,
+    )
+    hit = sorted_codes[found] == projected
+    if not hit.any():
+        return state.empty
+    bag_hit = counts[hit]
+    child_hit = child_counts[order[found[hit]]]
+    if int(bag_hit.max()) * int(child_hit.max()) >= _INT64_LIMIT:
+        raise KernelUnsupported("overflow", "JOIN product could exceed int64")
+    return codes[hit], bag_hit * child_hit
+
+
 def execute_tape(
     instructions,
     indexed_target,
@@ -209,9 +239,10 @@ def execute_tape(
     """Run a DP tape against ``indexed_target``, vectorised.
 
     ``max_bag`` bounds the bag size over the whole tape (``width + 1``
-    for a nice decomposition).  ``allowed_masks`` maps a pattern vertex
-    *label* to a Python-int candidate bitset (the encoded ``allowed``
-    restriction); absent vertices get the full pool.
+    for a tape compiled from a decomposition of that width).
+    ``allowed_masks`` maps a pattern vertex *label* to a Python-int
+    candidate bitset (the encoded ``allowed`` restriction); absent
+    vertices get the full pool.
 
     Returns the exact count, or raises :class:`KernelUnsupported` when
     an int64 bound would be crossed — the caller falls back to the
@@ -249,8 +280,11 @@ def execute_tape(
             )
         elif op == FORGET:
             stack.append(_forget(state, stack.pop(), instruction[1]))
-        else:  # JOIN
+        elif len(instruction) == 1:  # JOIN of two tables over one bag
             stack.append(_join(state, stack.pop(), stack.pop()))
+        else:  # JOIN of a child's separator table into the bag table
+            child = stack.pop()
+            stack.append(_join_on(state, stack.pop(), child, instruction[1]))
 
     (codes, counts) = stack.pop()
     if stack:

@@ -26,11 +26,9 @@ from repro.treewidth.heuristics import (
     min_fill_ordering,
 )
 from repro.treewidth.subset_dp import treewidth_subset_dp
-from repro.treewidth.nice import NiceNode, nice_tree_decomposition, validate_nice
 
 __all__ = [
     "TreeDecomposition",
-    "NiceNode",
     "clique_lower_bound",
     "decomposition_from_elimination_ordering",
     "degeneracy",
@@ -41,7 +39,6 @@ __all__ = [
     "min_degree_ordering",
     "min_fill_ordering",
     "mmd_lower_bound",
-    "nice_tree_decomposition",
     "optimal_tree_decomposition",
     "ordering_width",
     "treewidth",
@@ -49,5 +46,4 @@ __all__ = [
     "treewidth_subset_dp",
     "treewidth_with_ordering",
     "trivial_decomposition",
-    "validate_nice",
 ]

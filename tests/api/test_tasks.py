@@ -68,6 +68,24 @@ class TestConstruction:
         assert task.parsed() is task.parsed()
         assert texts == [TEXT]
 
+    @pytest.mark.parametrize("kind", [WlDimensionTask, AnalyzeTask])
+    def test_analysed_query_is_parsed_once(self, monkeypatch, kind):
+        import repro.queries.parser as parser
+        from repro.api import Session
+
+        texts = []
+        real = parser.parse_query
+
+        def counting_parse(text, *args, **kwargs):
+            texts.append(text)
+            return real(text, *args, **kwargs)
+
+        monkeypatch.setattr(parser, "parse_query", counting_parse)
+        task = kind(TEXT)
+        Session().run(task)
+        assert texts == [TEXT]
+        assert task.parsed() is task.parsed()
+
     def test_unknown_method_rejected(self):
         with pytest.raises(TaskError):
             AnswerCountTask(TEXT, cycle_graph(3), method="quantum")

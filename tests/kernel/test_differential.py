@@ -8,19 +8,24 @@ backend-local).  Hypothesis drives the graph shapes.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro import kernel
-from repro.graphs import Graph, path_graph, random_graph, star_graph
+from repro.graphs import Graph, cycle_graph, path_graph, random_graph, star_graph
 from repro.engine import compile_answer_plan
 from repro.homs.brute_force import count_homomorphisms_brute, enumerate_homomorphisms
 from repro.homs.treewidth_dp import (
+    FORGET,
+    INTRODUCE,
+    JOIN,
+    LEAF,
     compile_tape,
     count_homomorphisms_dp,
     prepared_pattern,
     run_tape,
 )
 from repro.queries import parse_query
+from repro.treewidth import treewidth
 from repro.wl.refinement import indexed_colour_partition
 
 pytestmark = pytest.mark.skipif(
@@ -93,6 +98,154 @@ class TestDPTape:
         assert oracle == vectorised
 
 
+@st.composite
+def low_width_patterns(draw):
+    """1-9 vertex patterns of treewidth <= 3: either a random forest plus
+    chords (so disconnected patterns and isolated vertices occur), or a
+    2-3 clique that later vertices attach to (so bags get several
+    children over a multi-vertex separator)."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    graph = Graph(vertices=range(n))
+    if n > 3 and draw(st.booleans()):
+        k = draw(st.integers(min_value=2, max_value=3))
+        for i in range(k):
+            for j in range(i):
+                graph.add_edge(i, j)
+        for v in range(k, n):
+            for u in draw(st.sets(
+                st.integers(min_value=0, max_value=v - 1), min_size=1, max_size=3,
+            )):
+                graph.add_edge(v, u)
+    else:
+        for v in range(1, n):
+            parent = draw(st.integers(min_value=-1, max_value=v - 1))
+            if parent >= 0:
+                graph.add_edge(v, parent)
+        for _ in range(draw(st.integers(min_value=0, max_value=4))):
+            i = draw(st.integers(min_value=0, max_value=n - 1))
+            j = draw(st.integers(min_value=0, max_value=n - 1))
+            if i != j:
+                graph.add_edge(i, j)
+    assume(treewidth(graph) <= 3)
+    return graph
+
+
+class TestDecompositionTapes:
+    """Tapes compiled straight from the decomposition (separator JOINs,
+    empty separators between components) on both tiers, against brute
+    force."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pattern=low_width_patterns(),
+           n=st.integers(min_value=0, max_value=70),
+           p=st.sampled_from((0.05, 0.1, 0.2, 0.35)),
+           seed=st.integers(min_value=0, max_value=10_000),
+           data=st.data())
+    def test_both_tiers_equal_brute_force(self, pattern, n, p, seed, data):
+        # Keep the brute-force oracle's work near 10^4 expected homs:
+        # sparser targets for many edges, fewer vertices for many
+        # components.
+        k, m = pattern.num_vertices(), pattern.num_edges()
+        budget = 10_000
+        if m:
+            p = min(p, (budget / max(n, 1) ** k) ** (1 / m))
+        else:
+            n = min(n, int(budget ** (1 / k)))
+        target = random_graph(n, p, seed=seed)
+        allowed = None
+        if n and data.draw(st.booleans()):
+            hosts = target.vertices()
+            allowed = {
+                v: frozenset(data.draw(st.sets(st.sampled_from(hosts))))
+                for v in data.draw(st.sets(st.sampled_from(pattern.vertices())))
+            }
+        decomposition = prepared_pattern(pattern)
+        tape = compile_tape(pattern, decomposition)
+        oracle, vectorised = both_backends(
+            lambda: run_tape(tape, decomposition.width, target, allowed),
+        )
+        expected = count_homomorphisms_brute(pattern, target, allowed=allowed)
+        assert oracle == vectorised == expected
+
+    @pytest.mark.parametrize(
+        "pattern, tape",
+        [
+            (   # two disjoint edges: the child shares nothing with the bag
+                Graph(edges=[(0, 1), (2, 3)]),
+                [(LEAF,), (INTRODUCE, 0, 0, ()), (INTRODUCE, 1, 1, (0,)),
+                 (FORGET, 1),
+                 (LEAF,), (INTRODUCE, 2, 0, ()), (INTRODUCE, 3, 1, (0,)),
+                 (FORGET, 1), (FORGET, 0),
+                 (JOIN, ()), (FORGET, 0)],
+            ),
+            (   # P3 over the bag {0, 1}, the child over {1}
+                path_graph(3),
+                [(LEAF,), (INTRODUCE, 0, 0, ()), (INTRODUCE, 1, 1, (0,)),
+                 (LEAF,), (INTRODUCE, 1, 0, ()), (INTRODUCE, 2, 1, (0,)),
+                 (FORGET, 1),
+                 (JOIN, (1,)), (FORGET, 1), (FORGET, 0)],
+            ),
+            (   # C4 over the bag {0, 1, 2}, the child over {0, 2}
+                cycle_graph(4),
+                [(LEAF,), (INTRODUCE, 0, 0, ()), (INTRODUCE, 1, 1, (0,)),
+                 (INTRODUCE, 2, 2, (1,)),
+                 (LEAF,), (INTRODUCE, 0, 0, ()), (INTRODUCE, 2, 1, ()),
+                 (INTRODUCE, 3, 2, (0, 1)), (FORGET, 2),
+                 (JOIN, (0, 2)), (FORGET, 2), (FORGET, 1), (FORGET, 0)],
+            ),
+            (   # a triangle with pendants 3 and 4 on 0: the child's table
+                # over {0, 2}, [0 ~ 2] * deg(0), is not symmetric
+                Graph(edges=[(0, 1), (1, 2), (0, 2), (0, 3), (0, 4)]),
+                [(LEAF,), (INTRODUCE, 0, 0, ()), (INTRODUCE, 4, 1, (0,)),
+                 (FORGET, 1), (INTRODUCE, 1, 1, (0,)),
+                 (INTRODUCE, 2, 2, (0, 1)),
+                 (LEAF,), (INTRODUCE, 0, 0, ()), (INTRODUCE, 2, 1, (0,)),
+                 (INTRODUCE, 3, 2, (0,)), (FORGET, 2),
+                 (JOIN, (0, 2)), (FORGET, 2), (FORGET, 1), (FORGET, 0)],
+            ),
+        ],
+        ids=["empty-separator", "one-vertex", "two-vertex", "asymmetric"],
+    )
+    def test_separator_join_tapes(self, pattern, tape):
+        target = random_graph(40, 0.2, seed=12)
+        oracle, vectorised = both_backends(lambda: run_tape(tape, 2, target))
+        expected = count_homomorphisms_brute(pattern, target)
+        assert oracle == vectorised == expected
+
+    def test_three_vertex_separators_with_pools(self):
+        """``dp11`` joins two children on a three-vertex separator; pools
+        on two of its vertices make the children's tables asymmetric."""
+        pattern = Graph(edges=[
+            (0, 1), (0, 6), (0, 7), (1, 2), (1, 3), (1, 5), (2, 4), (3, 6),
+            (3, 7), (4, 5), (4, 6), (4, 7), (5, 6),
+        ])
+        target = random_graph(36, 0.3, seed=13)
+        allowed = {1: frozenset(range(18)), 7: frozenset(range(9, 36))}
+        decomposition = prepared_pattern(pattern)
+        tape = compile_tape(pattern, decomposition)
+        assert any(i[0] == JOIN and len(i) > 1 and len(i[1]) == 3 for i in tape)
+        oracle, vectorised = both_backends(
+            lambda: run_tape(tape, decomposition.width, target, allowed),
+        )
+        expected = count_homomorphisms_brute(pattern, target, allowed=allowed)
+        assert oracle == vectorised == expected
+
+    def test_equal_bag_tape_still_runs(self):
+        """A tape in the nice-tree format (JOINs of equal bags only), as
+        plans pickled before separator JOINs hold: C4 as two 2-paths
+        over the bag {0, 2}, joined."""
+        branch = [(LEAF,), (INTRODUCE, 0, 0, ()), (INTRODUCE, 2, 1, ())]
+        tape = (
+            branch + [(INTRODUCE, 1, 1, (0, 1)), (FORGET, 1)]
+            + branch + [(INTRODUCE, 3, 2, (0, 1)), (FORGET, 2)]
+            + [(JOIN,), (FORGET, 1), (FORGET, 0)]
+        )
+        target = random_graph(40, 0.2, seed=11)
+        oracle, vectorised = both_backends(lambda: run_tape(tape, 2, target))
+        expected = count_homomorphisms_brute(cycle_graph(4), target)
+        assert oracle == vectorised == expected
+
+
 class TestRelationChecks:
     """Tapes that check 0/1 relations at INTRODUCE, as the answer plan's
     component tables are checked.  Such a tape runs the pure loop on
@@ -123,8 +276,9 @@ class TestRelationChecks:
             }
             for scope in scopes
         ]
-        tape = compile_tape(pattern, prepared_pattern(pattern), scopes)
-        width = prepared_pattern(pattern).width()
+        decomposition = prepared_pattern(pattern)
+        tape = compile_tape(pattern, decomposition, scopes)
+        width = decomposition.width
         oracle, vectorised = both_backends(
             lambda: run_tape(tape, width, target, relations=relations),
         )
